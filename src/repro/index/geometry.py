@@ -1,10 +1,28 @@
-"""Axis-aligned rectangles (MBRs) in the index space S2."""
+"""Axis-aligned rectangles (MBRs) in the index space S2, and the row
+distance kernel every query path ranks candidates with."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.errors import IndexError_
+
+
+def row_distances(matrix: np.ndarray, rows, point: np.ndarray) -> np.ndarray:
+    """Euclidean distances from ``point`` to ``matrix[rows]``.
+
+    ``rows`` is an integer id array (``None`` means every row). The
+    gather is a fresh copy, so the point is subtracted in place and the
+    row norms come from one ``einsum``: several times faster than
+    ``np.linalg.norm(matrix[rows] - point, axis=1)`` and equal to it
+    within a few ulps.
+    """
+    if rows is None:
+        diff = matrix - point
+    else:
+        diff = matrix[rows]
+        diff -= point
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 class Rect:

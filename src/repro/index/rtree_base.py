@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.index.geometry import Rect
+from repro.index.geometry import Rect, row_distances
 from repro.index.node import FrontierEntry, InternalNode, LeafNode, TreeEntry
 from repro.index.partition import Partition
 from repro.index.stats import AccessCounters, IndexStats, StatsAccumulator
@@ -495,7 +495,7 @@ class RTreeBase:
         radius and with it the examined region)."""
         if len(ids) == 0:
             return ids
-        offsets = np.linalg.norm(self.store.points_of(ids) - point, axis=1)
+        offsets = row_distances(self.store.coords, ids, point)
         take = min(k, len(ids))
         nearest = np.argpartition(offsets, take - 1)[:take]
         self.counters.points_examined += take

@@ -13,6 +13,7 @@ library needs:
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -64,6 +65,11 @@ class KnowledgeGraph:
         self._out_degree: dict[int, int] = {}
         self._in_degree: dict[int, int] = {}
         self._entity_type: dict[int, str] = {}
+        # Per-type member sets and sorted id rows, built on first use and
+        # dropped by set_entity_type for the types it touches. The lock
+        # keeps a build racing a retag from caching the stale members.
+        self._type_members: dict[str, tuple[frozenset[int], np.ndarray]] = {}
+        self._type_lock = threading.Lock()
         self.attributes = AttributeTable()
 
     # -- construction -------------------------------------------------
@@ -129,7 +135,12 @@ class KnowledgeGraph:
         """
         if not 0 <= entity < len(self.entities):
             raise GraphError(f"entity id {entity} out of range")
-        self._entity_type[entity] = type_name
+        with self._type_lock:
+            previous = self._entity_type.get(entity)
+            self._entity_type[entity] = type_name
+            self._type_members.pop(type_name, None)
+            if previous is not None:
+                self._type_members.pop(previous, None)
 
     def entity_type(self, entity: int) -> str | None:
         """The entity's type tag, or None if untagged."""
@@ -137,9 +148,25 @@ class KnowledgeGraph:
 
     def entities_of_type(self, type_name: str) -> frozenset[int]:
         """All entities tagged with ``type_name``."""
-        return frozenset(
-            e for e, t in self._entity_type.items() if t == type_name
-        )
+        return self._members_of_type(type_name)[0]
+
+    def type_rows(self, type_name: str) -> np.ndarray:
+        """The ids of :meth:`entities_of_type` as a sorted, read-only
+        ``int64`` array (the row indices typed queries rank over)."""
+        return self._members_of_type(type_name)[1]
+
+    def _members_of_type(self, type_name: str) -> tuple[frozenset[int], np.ndarray]:
+        cached = self._type_members.get(type_name)
+        if cached is not None:
+            return cached
+        with self._type_lock:
+            members = frozenset(
+                e for e, t in self._entity_type.items() if t == type_name
+            )
+            rows = np.array(sorted(members), dtype=np.int64)
+            rows.flags.writeable = False
+            cached = self._type_members[type_name] = (members, rows)
+        return cached
 
     # -- inspection ---------------------------------------------------
 

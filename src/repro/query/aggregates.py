@@ -33,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import QueryError
-from repro.index.geometry import Rect
+from repro.index.geometry import Rect, row_distances
 from repro.obs import trace
 from repro.query.probability import InverseDistanceProbability
+from repro.query.topk import eligible_mask
 from repro.transform.bounds import aggregate_sum_tail_bound
 
 _KINDS = ("count", "sum", "avg", "max", "min")
@@ -190,27 +191,26 @@ class AggregateProcessor:
         """Entities within the probability-``p_tau`` ball, with their S1
         distances, plus the S2 search region used."""
         q2 = self.transform(query_point_s1)
+        eligible = eligible_mask(len(self.s1_vectors), exclude)
         # Anchor d_min with a small probe.
-        seeds = [int(e) for e in self.index.probe(q2, 4) if int(e) not in exclude]
-        if not seeds:
-            seeds = [int(e) for e in self.index.probe(q2, 64) if int(e) not in exclude]
-        if not seeds:
+        seeds = self.index.probe(q2, 4)
+        seeds = seeds[eligible[seeds]]
+        if len(seeds) == 0:
+            seeds = self.index.probe(q2, 64)
+            seeds = seeds[eligible[seeds]]
+        if len(seeds) == 0:
             raise QueryError("no candidate entities found near the query point")
-        seed_dists = np.linalg.norm(
-            self.s1_vectors[seeds] - query_point_s1, axis=1
-        )
+        seed_dists = row_distances(self.s1_vectors, seeds, query_point_s1)
         model = InverseDistanceProbability(float(seed_dists.min()))
         radius = model.ball_radius(p_tau) * (1.0 + self.epsilon)
         region = Rect.ball_box(q2, radius)
         if refine_index:
             self.index.refine(region)
-        ids = np.array(
-            [int(e) for e in self.index.search(region) if int(e) not in exclude],
-            dtype=np.int64,
-        )
+        found = self.index.search(region)
+        ids = found[eligible[found]]
         if len(ids) == 0:
             return ids, np.empty(0), region
-        dists = np.linalg.norm(self.s1_vectors[ids] - query_point_s1, axis=1)
+        dists = row_distances(self.s1_vectors, ids, query_point_s1)
         # Re-anchor on the true closest entity and cut at p_tau exactly.
         model = InverseDistanceProbability(float(dists.min()))
         in_ball = model.probabilities(dists) >= p_tau

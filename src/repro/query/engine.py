@@ -21,6 +21,7 @@ from repro.embedding.trainer import TrainConfig, train_model
 from repro.errors import QueryError
 from repro.index.bulkload import BulkLoadedRTree
 from repro.index.cracking import CrackingRTree
+from repro.index.geometry import Rect, row_distances
 from repro.index.linear import ExhaustiveScan
 from repro.index.store import PointStore
 from repro.index.topk_splits import TopKSplitsRTree
@@ -29,7 +30,7 @@ from repro.obs import trace
 from repro.query.aggregates import AggregateEstimate, AggregateProcessor
 from repro.query.probability import InverseDistanceProbability
 from repro.query.spec import QueryResult, QuerySpec
-from repro.query.topk import TopKResult, find_topk
+from repro.query.topk import TopKResult, eligible_mask, find_topk
 from repro.transform.jl import JLTransform
 
 
@@ -61,7 +62,11 @@ class EngineConfig:
 
 @dataclass(frozen=True, slots=True)
 class QueryExplain:
-    """EXPLAIN-style report for one top-k query."""
+    """EXPLAIN-style report for one top-k query.
+
+    ``index_stats`` walks the whole tree (a scatter to every lane on a
+    sharded engine), so it is computed on first access, not per query.
+    """
 
     result: TopKResult
     elapsed_seconds: float
@@ -71,7 +76,15 @@ class QueryExplain:
     splits_triggered: int
     points_examined: int
     scan_equivalent_points: int
-    index_stats: object
+    index: object = field(repr=False, compare=False)
+    _stats: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def index_stats(self):
+        """Structural statistics of the index (first access walks it)."""
+        if self._stats is None:
+            object.__setattr__(self, "_stats", self.index.stats())
+        return self._stats
 
     @property
     def examined_fraction(self) -> float:
@@ -170,7 +183,7 @@ class QueryEngine:
         return QueryResult(spec=spec, aggregate=self._run_aggregate_spec(spec))
 
     def _topk_request(self, spec: QuerySpec):
-        """Derive (query point, exclude set, allowed set) from a spec."""
+        """Derive (query point, exclude set, allowed rows) from a spec."""
         if spec.direction == "tail":
             exclude = set(self.graph.tails(spec.entity, spec.relation)) | {spec.entity}
             query_point = self.model.tail_query_point(spec.entity, spec.relation)
@@ -237,13 +250,13 @@ class QueryEngine:
         )
         return self.execute(spec).topk
 
-    def _allowed_of_type(self, entity_type: str | None) -> frozenset[int] | None:
+    def _allowed_of_type(self, entity_type: str | None) -> np.ndarray | None:
         if entity_type is None:
             return None
-        allowed = self.graph.entities_of_type(entity_type)
-        if not allowed:
+        rows = self.graph.type_rows(entity_type)
+        if len(rows) == 0:
             raise QueryError(f"no entities tagged with type {entity_type!r}")
-        return allowed
+        return rows
 
     # -- threshold (ball) queries -----------------------------------------------
 
@@ -257,9 +270,6 @@ class QueryEngine:
         model); returns ``(entity, probability)`` sorted by decreasing
         probability.
         """
-        from repro.index.geometry import Rect
-        from repro.query.probability import InverseDistanceProbability
-
         if not 0.0 < p_tau <= 1.0:
             raise QueryError("p_tau must be in (0, 1]")
         exclude = frozenset(set(self.graph.tails(head, relation)) | {head})
@@ -274,13 +284,11 @@ class QueryEngine:
         radius = prob_model.ball_radius(p_tau) * (1.0 + self.epsilon)
         region = Rect.ball_box(self.transform(q1), radius)
         self.index.refine(region)
-        ids = np.array(
-            [int(e) for e in self.index.search(region) if int(e) not in exclude],
-            dtype=np.int64,
-        )
+        found = self.index.search(region)
+        ids = found[eligible_mask(len(self.s1_vectors), exclude)[found]]
         if len(ids) == 0:
             return []
-        dists = np.linalg.norm(self.s1_vectors[ids] - q1, axis=1)
+        dists = row_distances(self.s1_vectors, ids, q1)
         prob_model = InverseDistanceProbability(float(dists.min()))
         probs = prob_model.probabilities(dists)
         keep = probs >= p_tau
@@ -335,7 +343,6 @@ class QueryEngine:
             result = self._run_topk_spec(spec)
             elapsed = time.perf_counter() - start
             after = self.index.counters
-            stats = self.index.stats()
             explain = QueryExplain(
                 result=result,
                 elapsed_seconds=elapsed,
@@ -345,7 +352,7 @@ class QueryEngine:
                 splits_triggered=self.index.splits_performed - splits_before,
                 points_examined=result.points_examined,
                 scan_equivalent_points=self.graph.num_entities,
-                index_stats=stats,
+                index=self.index,
             )
             if sp.is_recording:
                 sp.set_attribute("direction", spec.direction)
@@ -353,6 +360,7 @@ class QueryEngine:
                 sp.set_attribute("leaf_accesses", explain.leaf_accesses)
                 sp.set_attribute("splits_triggered", explain.splits_triggered)
                 sp.set_attribute("points_examined", explain.points_examined)
+                stats = explain.index_stats
                 sp.set_attribute(
                     "contour_size", stats.leaf_nodes + stats.frontier_elements
                 )

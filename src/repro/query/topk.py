@@ -6,20 +6,21 @@ Given a query point in the embedding space S1 (``h + r`` for tails,
 1. probes the index for the smallest element containing the projected
    query point ``q`` in S2 and seeds ``k`` candidates from it;
 2. sets the query radius ``r_q = r_k* (1 + epsilon)`` where ``r_k*`` is
-   the k-th smallest *S1* distance among the candidates seen so far and
-   ``epsilon`` trades accuracy (Theorem 2) for work (Theorem 3);
-3. examines the data points inside the box of ``B(q, r_q)`` in
-   increasing S2 distance, re-ranking each by its true S1 distance and
-   shrinking ``r_q`` (hence the region) as better candidates appear —
-   processed in vectorised chunks so the examination cost is a few
-   numpy operations per chunk rather than per point;
-4. cracks the index for the final region (the greedy incremental build
-   or Algorithm 2's A* search, depending on the index variant).
+   the k-th smallest *S1* distance among the seeds, and ``epsilon``
+   trades accuracy (Theorem 2) for work (Theorem 3);
+3. searches the index once for the box of ``B(q, r_q)`` and ranks the
+   seeds together with every candidate found by true S1 distance, in
+   one vectorised pass (a distance kernel, ``argpartition`` to ``k``,
+   then a sort by ``(distance, id)``);
+4. sets the final radius from the k-th ranked distance and cracks the
+   index for its box (the greedy incremental build or Algorithm 2's A*
+   search, depending on the index variant).
 
-Because the region only ever shrinks, every point of every later region
-is already contained in the first region's search result, so a single
-index search suffices; the iterative refinement of the paper's lines 5-8
-happens over that candidate list.
+The paper's lines 5-8 shrink the region as better candidates appear.
+Every shrunken region lies inside the first one, so ranking the first
+region's candidates once returns an answer at least as good as any
+shrinking walk over them, in a few numpy calls instead of one loop
+iteration per batch.
 
 Entities in ``exclude`` (known E-neighbours of the query entity, plus
 the entity itself) are skipped: the query semantics cover only the
@@ -33,11 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import QueryError
-from repro.index.geometry import Rect
+from repro.index.geometry import Rect, row_distances
 from repro.obs import trace
-
-#: Candidates examined per vectorised batch in the refinement loop.
-_CHUNK = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +65,7 @@ def find_topk(
     exclude: set[int] | frozenset[int] = frozenset(),
     epsilon: float = 0.5,
     refine_index: bool = True,
-    allowed: frozenset[int] | None = None,
+    allowed: np.ndarray | frozenset[int] | None = None,
 ) -> TopKResult:
     """Run Algorithm 3 against ``index``.
 
@@ -93,8 +91,9 @@ def find_topk(
         Whether to crack the index for the final region (line 9). Static
         indices ignore the call anyway; disable to measure pure search.
     allowed:
-        Optional whitelist of candidate entities (e.g. all entities of
-        one type, for type-filtered queries); None means everyone.
+        Optional whitelist of candidate entities, as an id array or a
+        set (e.g. :meth:`~repro.kg.graph.KnowledgeGraph.type_rows` for
+        type-filtered queries); None means everyone.
     """
     if k < 1:
         raise QueryError("k must be >= 1")
@@ -122,99 +121,90 @@ def _find_topk(
     exclude,
     epsilon: float,
     refine_index: bool,
-    allowed: frozenset[int] | None,
+    allowed,
     sp,
 ) -> TopKResult:
     query_point_s1 = np.asarray(query_point_s1, dtype=np.float64)
     q2 = transform(query_point_s1)
-
-    best_ids = np.empty(0, dtype=np.int64)
-    best_dists = np.empty(0, dtype=np.float64)
-    points_examined = 0
-    examined: set[int] = set()
-
-    def merge(ids: np.ndarray) -> None:
-        """Examine ``ids`` (S1 distances, vectorised) into the top-k."""
-        nonlocal best_ids, best_dists, points_examined
-        if len(ids) == 0:
-            return
-        points_examined += len(ids)
-        dists = np.linalg.norm(s1_vectors[ids] - query_point_s1, axis=1)
-        all_ids = np.concatenate([best_ids, ids])
-        all_dists = np.concatenate([best_dists, dists])
-        order = np.argsort(all_dists, kind="stable")[:k]
-        best_ids = all_ids[order]
-        best_dists = all_dists[order]
-
-    def fresh_eligible(ids) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        if len(ids) == 0:
-            return ids
-        banned = examined | exclude if exclude else examined
-        if banned:
-            mask = ~np.isin(ids, np.fromiter(banned, dtype=np.int64, count=len(banned)))
-            ids = ids[mask]
-        examined.update(ids.tolist())
-        if allowed is not None and len(ids):
-            permit = np.isin(
-                ids, np.fromiter(allowed, dtype=np.int64, count=len(allowed))
-            )
-            ids = ids[permit]
-        return ids
+    n = len(s1_vectors)
+    eligible = eligible_mask(n, exclude, allowed)
+    # Every id the probe or the search returned; ranked once at the end.
+    seen = np.zeros(n, dtype=bool)
 
     # Line 2: probe for the k seed points near q in S2, widening until
-    # enough non-excluded candidates are seeded (or the probe saturates).
+    # enough eligible candidates are seeded (or the probe saturates).
     probe_size = k
     probe_rounds = 0
     while True:
-        seeds = index.probe(q2, probe_size)
+        seen[index.probe(q2, probe_size)] = True
         probe_rounds += 1
-        merge(fresh_eligible(seeds))
-        if len(best_ids) >= k or probe_size >= len(s1_vectors):
+        seeds = np.flatnonzero(seen & eligible)
+        if len(seeds) >= k or probe_size >= n:
             break
-        probe_size = min(probe_size * 4, len(s1_vectors))
-    sp.set_attribute("seeds", points_examined)
+        probe_size = min(probe_size * 4, n)
+    sp.set_attribute("seeds", len(seeds))
     sp.set_attribute("probe_rounds", probe_rounds)
 
-    if len(best_ids) == 0:
-        return TopKResult((), (), points_examined, float("inf"), None)
+    if len(seeds) == 0:
+        return TopKResult((), (), 0, float("inf"), None)
 
-    def current_radius() -> float:
-        return float(best_dists[min(k, len(best_dists)) - 1]) * (1.0 + epsilon)
-
-    # Lines 3-8: one index search of the initial (largest) region, then
-    # iterative radius refinement over its candidates in S2 order.
-    radius = current_radius()
-    region = Rect.ball_box(q2, radius)
-    candidates = fresh_eligible(index.search(region))
-    pruned = 0
-    if len(candidates) > 0:
-        s2_dists = np.linalg.norm(index.store.points_of(candidates) - q2, axis=1)
-        order = np.argsort(s2_dists)
-        candidates = candidates[order]
-        position = 0
-        while position < len(candidates):
-            chunk = candidates[position : position + _CHUNK]
-            position += len(chunk)
-            in_region = region.contains_points(index.store.points_of(chunk))
-            merge(chunk[in_region])
-            if sp.is_recording:
-                pruned += len(chunk) - int(in_region.sum())
-            new_radius = current_radius()
-            if new_radius < radius:
-                radius = new_radius
-                region = Rect.ball_box(q2, radius)
+    # Lines 3-8: one index search of the seeds' region, then one S1
+    # re-rank of the seeds and everything that search found.
+    seed_dists = row_distances(s1_vectors, seeds, query_point_s1)
+    kth = min(k, len(seeds)) - 1
+    radius = float(np.partition(seed_dists, kth)[kth]) * (1.0 + epsilon)
+    candidates = index.search(Rect.ball_box(q2, radius))
+    seen[candidates] = True
+    ranked = np.flatnonzero(seen & eligible)
     sp.set_attribute("candidates", len(candidates))
-    sp.set_attribute("pruned", pruned)
+    best_ids, best_dists = smallest_k(
+        ranked, row_distances(s1_vectors, ranked, query_point_s1), k
+    )
 
     # Line 9: crack the index for the final query region.
+    radius = float(best_dists[-1]) * (1.0 + epsilon)
+    region = Rect.ball_box(q2, radius)
     if refine_index:
         index.refine(region)
 
     return TopKResult(
-        entities=tuple(int(e) for e in best_ids),
-        distances=tuple(float(d) for d in best_dists),
-        points_examined=points_examined,
+        entities=tuple(best_ids.tolist()),
+        distances=tuple(best_dists.tolist()),
+        points_examined=len(ranked),
         final_radius=radius,
         query_region=region,
     )
+
+
+def eligible_mask(n: int, exclude, allowed=None) -> np.ndarray:
+    """Boolean mask over the ``n`` entity rows a query may return: the
+    ``allowed`` rows (every row when None) minus ``exclude``."""
+    if allowed is None:
+        eligible = np.ones(n, dtype=bool)
+    else:
+        eligible = np.zeros(n, dtype=bool)
+        eligible[_id_array(allowed)] = True
+    if len(exclude):
+        eligible[_id_array(exclude)] = False
+    return eligible
+
+
+def _id_array(ids) -> np.ndarray:
+    if isinstance(ids, np.ndarray):
+        return ids
+    return np.fromiter(ids, dtype=np.int64, count=len(ids))
+
+
+def smallest_k(ids: np.ndarray, dists: np.ndarray, k: int):
+    """The k smallest ``(distance, id)`` pairs, in that order.
+
+    ``argpartition`` cuts the set to the k-th distance first; every id
+    tied with it is kept, so the ``(distance, id)`` sort that follows
+    breaks ties the same way a full sort would.
+    """
+    if len(ids) > k:
+        kth = dists[np.argpartition(dists, k - 1)[k - 1]]
+        keep = dists <= kth
+        ids, dists = ids[keep], dists[keep]
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order], dists[order]

@@ -40,11 +40,12 @@ import numpy as np
 
 from repro.errors import IndexError_, ReproError
 from repro.index.bulkload import BulkLoadedRTree
+from repro.index.geometry import row_distances
 from repro.index.validation import check_invariants
 from repro.obs import trace
 from repro.obs.logging import get_logger
 from repro.query.spec import QuerySpec
-from repro.query.topk import TopKResult
+from repro.query.topk import TopKResult, eligible_mask, smallest_k
 from repro.resilience import chaos
 
 #: Human-readable rung names, indexed by level.
@@ -331,8 +332,8 @@ class DegradationLadder:
         direction: str,
         entity_type: str | None = None,
     ) -> TopKResult:
-        """Exact top-k by vectorised scan over S1 (same answers as the
-        indexed path: Algorithm 3 is exact in S1)."""
+        """Exact top-k by one vectorised scan over the eligible S1 rows
+        (the type's rows minus the excluded ids), ties broken by id."""
         graph = engine.graph
         if direction == "tail":
             query_point = engine.model.tail_query_point(entity, relation)
@@ -341,23 +342,18 @@ class DegradationLadder:
             query_point = engine.model.head_query_point(entity, relation)
             exclude = set(graph.heads(entity, relation)) | {entity}
         vectors = engine.s1_vectors
-        dists = np.linalg.norm(vectors - np.asarray(query_point, dtype=np.float64), axis=1)
-        banned = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
-        dists = dists.copy()
-        dists[banned] = np.inf
-        if entity_type is not None:
-            allowed = graph.entities_of_type(entity_type)
-            mask = np.ones(len(dists), dtype=bool)
-            mask[np.fromiter(allowed, dtype=np.int64, count=len(allowed))] = False
-            dists[mask] = np.inf
-        order = np.argsort(dists, kind="stable")[:k]
-        order = order[np.isfinite(dists[order])]
+        allowed = None if entity_type is None else graph.type_rows(entity_type)
+        rows = np.flatnonzero(eligible_mask(len(vectors), exclude, allowed))
+        dists = row_distances(
+            vectors, rows, np.asarray(query_point, dtype=np.float64)
+        )
+        ids, dists = smallest_k(rows, dists, k)
         return TopKResult(
-            entities=tuple(int(e) for e in order),
-            distances=tuple(float(dists[e]) for e in order),
-            points_examined=int(len(vectors)),
-            final_radius=float(dists[order[-1]]) * (1.0 + engine.epsilon)
-            if len(order)
+            entities=tuple(ids.tolist()),
+            distances=tuple(dists.tolist()),
+            points_examined=len(vectors),
+            final_radius=float(dists[-1]) * (1.0 + engine.epsilon)
+            if len(ids)
             else float("inf"),
             query_region=None,
         )

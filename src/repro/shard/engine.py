@@ -27,6 +27,7 @@ import threading
 import numpy as np
 
 from repro.errors import ServiceError
+from repro.index.geometry import row_distances
 from repro.index.stats import AccessCounters, IndexStats
 from repro.index.store import PointStore, ShardStoreView
 from repro.index.validation import check_invariants
@@ -118,7 +119,7 @@ class ShardRouter:
         if not parts:
             return np.empty(0, dtype=np.int64)
         ids = np.concatenate(parts)
-        dists = np.linalg.norm(self.store.points_of(ids) - point, axis=1)
+        dists = row_distances(self.store.coords, ids, point)
         return ids[np.argsort(dists, kind="stable")[:k]]
 
     def search(self, region) -> np.ndarray:

@@ -70,6 +70,25 @@ class TestEntityTypes:
         }
         assert graph.entities_of_type("robot") == frozenset()
 
+    def test_type_cache_follows_set_entity_type(self, graph):
+        a, b, d = (graph.entities.id_of(name) for name in ("a", "b", "d"))
+        graph.set_entity_type(a, "person")
+        assert graph.entities_of_type("person") == {a}
+        assert graph.type_rows("person").tolist() == [a]
+        graph.set_entity_type(d, "person")
+        assert graph.entities_of_type("person") == {a, d}
+        assert graph.type_rows("person").tolist() == sorted([a, d])
+        # Retagging moves the entity out of its old type's cached rows.
+        graph.set_entity_type(a, "place")
+        assert graph.entities_of_type("person") == {d}
+        assert graph.entities_of_type("place") == {a}
+        assert b not in graph.entities_of_type("place")
+
+    def test_type_rows_are_read_only(self, graph):
+        graph.set_entity_type(graph.entities.id_of("a"), "person")
+        with pytest.raises(ValueError):
+            graph.type_rows("person")[0] = 0
+
     def test_type_of_unknown_entity_raises(self, graph):
         with pytest.raises(GraphError):
             graph.set_entity_type(999, "ghost")

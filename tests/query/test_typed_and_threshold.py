@@ -100,3 +100,39 @@ def test_vkg_likely_tails_facade(vkg):
     edges = vkg.likely_tails("user:1", "likes", p_tau=0.4)
     assert all(e.probability >= 0.4 for e in edges)
     assert all(e.head == "user:1" for e in edges)
+
+
+def test_typed_topk_sees_an_entity_tagged_after_a_typed_query():
+    """The per-type row cache is dropped by set_entity_type: a typed
+    query after the tag ranks the newly tagged entity."""
+    import numpy as np
+
+    from repro.embedding.pretrained import PretrainedEmbedding
+    from repro.kg.generators import movielens_like
+    from repro.query.engine import EngineConfig, QueryEngine
+    from repro.query.spec import QuerySpec
+
+    graph, world = movielens_like(
+        num_users=40, num_movies=80, num_genres=5, num_tags=10, num_ratings=600,
+        seed=3,
+    )
+    model = PretrainedEmbedding.from_world(graph, world, dim=16, seed=0)
+    engine = QueryEngine.from_graph(graph, EngineConfig(), model=model)
+    likes = graph.relations.id_of("likes")
+    user = world.members("user")[0]
+    spec = QuerySpec(entity=user, relation=likes, k=5, entity_type="movie")
+    before = engine.execute(spec).topk
+    movies = graph.entities_of_type("movie")
+    assert set(before.entities) <= movies
+
+    # Tag the nearest eligible non-movie entity as a movie.
+    q = engine.model.tail_query_point(user, likes)
+    banned = graph.tails(user, likes) | {user} | movies
+    order = np.argsort(np.linalg.norm(engine.s1_vectors - q, axis=1))
+    newcomer = next(int(e) for e in order if int(e) not in banned)
+    graph.set_entity_type(newcomer, "movie")
+
+    assert newcomer in graph.entities_of_type("movie")
+    assert newcomer in graph.type_rows("movie")
+    after = engine.execute(spec).topk
+    assert newcomer in after.entities

@@ -6,11 +6,13 @@ identical top-k sets. These tests force failures at the index layer and
 check the answers against an untouched baseline engine every time.
 """
 
+import numpy as np
 import pytest
 
 from repro.errors import IndexError_, QueryError
 from repro.index.bulkload import BulkLoadedRTree
 from repro.index.cracking import CrackingRTree
+from repro.index.linear import ExhaustiveScan
 from repro.resilience.chaos import ChaosController, activate
 from repro.resilience.degrade import DegradationLadder, validate_engine
 from repro.service.metrics import ServingMetrics
@@ -157,3 +159,35 @@ def test_repair_rebuilds_a_corrupted_index(make_engine):
     assert ladder.repair(engine) is True
     validate_engine(engine)  # whole again
     assert metrics.snapshot()["counters"]["engines_repaired"] == 1
+
+
+@pytest.mark.parametrize("typed", [False, True])
+def test_linear_rung_equals_exhaustive_scan(engine, dataset, typed):
+    """The last rung is exact: its ids are the exhaustive scan's, ties
+    broken by id, for seeded typed and untyped specs."""
+    graph, world = dataset
+    relations = [graph.relations.id_of(name) for name in ("likes", "dislikes")]
+    scan = ExhaustiveScan(engine.s1_vectors, vectorized=True)
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        entity = int(rng.integers(graph.num_entities))
+        relation = relations[int(rng.integers(len(relations)))]
+        direction = "tail" if rng.random() < 0.5 else "head"
+        k = int(rng.choice([1, 5, 10, 20]))
+        entity_type = str(rng.choice(["movie", "user"])) if typed else None
+        result = DegradationLadder._linear_topk(
+            engine, entity, relation, k, direction, entity_type
+        )
+        if direction == "tail":
+            point = engine.model.tail_query_point(entity, relation)
+            banned = graph.tails(entity, relation) | {entity}
+        else:
+            point = engine.model.head_query_point(entity, relation)
+            banned = graph.heads(entity, relation) | {entity}
+        if entity_type is not None:
+            banned |= frozenset(range(graph.num_entities)) - graph.entities_of_type(
+                entity_type
+            )
+        want = scan.topk(point, k, banned)
+        assert result.entities == tuple(e for e, _ in want)
+        assert result.distances == pytest.approx([d for _, d in want], rel=1e-12)

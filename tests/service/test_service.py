@@ -7,7 +7,10 @@ import pytest
 
 from repro.dynamic.updater import OnlineUpdater
 from repro.errors import DeadlineExceededError, QueueFullError, VocabularyError
+from repro.index.rtree_base import RTreeBase
+from repro.query.spec import QuerySpec
 from repro.service.server import QueryService
+from repro.shard.engine import ShardedEngine, ShardRouter
 
 
 @pytest.fixture
@@ -139,3 +142,32 @@ def test_typed_queries_bypass_the_cache(service, dataset):
     assert not first.cached and not second.cached
     for entity in first.result.entities:
         assert service.engine.graph.entity_type(entity) == "movie"
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_serving_path_walks_no_tree_per_query(make_engine, dataset, monkeypatch, shards):
+    """With tracing off, a served top-k never calls ``index.stats()``
+    (a whole-tree walk; a scatter to every lane on a sharded engine)."""
+    engine = make_engine()
+    if shards > 1:
+        engine = ShardedEngine.from_engine(engine, shards=shards, backend="thread")
+    calls = []
+    for owner in (RTreeBase, ShardRouter):
+        original = owner.stats
+
+        def counting(self, original=original):
+            calls.append(type(self).__name__)
+            return original(self)
+
+        monkeypatch.setattr(owner, "stats", counting)
+    graph, world = dataset
+    likes = graph.relations.id_of("likes")
+    try:
+        with QueryService(engine, workers=2) as service:
+            for user in world.members("user")[:20]:
+                result = service.execute(QuerySpec(entity=user, relation=likes, k=5))
+                assert len(result.result.entities) == 5
+    finally:
+        if shards > 1:
+            engine.close()
+    assert calls == []
