@@ -12,6 +12,7 @@ import pytest
 from repro.bench.datasets import movie_dataset
 from repro.bench.methods import NoIndexMethod, RTreeMethod
 from repro.bench.workloads import make_workload
+from repro.query.spec import QuerySpec
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,10 @@ def test_aggregate_avg_warm(benchmark, dataset, workload):
     )]
     cycle = itertools.cycle(users)
     benchmark(
-        lambda: method.engine.aggregate_tails(
-            next(cycle), likes, "avg", "year", p_tau=0.25, access_fraction=0.4
+        lambda: method.engine.execute(
+            QuerySpec(
+                entity=next(cycle), relation=likes, mode="aggregate", agg="avg",
+                attribute="year", p_tau=0.25, access_fraction=0.4,
+            )
         )
     )

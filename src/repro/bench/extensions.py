@@ -24,6 +24,7 @@ from repro.bench.metrics import precision_at_k
 from repro.bench.reporting import print_table
 from repro.bench.workloads import make_workload
 from repro.index.knn import knn_topk_s1
+from repro.query.spec import QuerySpec
 
 
 # --------------------------------------------------------------------------
@@ -58,11 +59,11 @@ def run_knn_vs_alg3(
     method = RTreeMethod(dataset, "cracking")
     durations, precisions, examined = [], [], []
     for query, truth in zip(workload, truths):
+        spec = QuerySpec(
+            entity=query.entity, relation=query.relation, direction=query.direction, k=k
+        )
         start = time.perf_counter()
-        if query.direction == "tail":
-            result = method.engine.topk_tails(query.entity, query.relation, k)
-        else:
-            result = method.engine.topk_heads(query.entity, query.relation, k)
+        result = method.engine.execute(spec).topk
         durations.append(time.perf_counter() - start)
         precisions.append(precision_at_k(truth, result.entities))
         examined.append(result.points_examined)
@@ -234,7 +235,7 @@ def run_dynamic_updates(
         scores = []
         for user in probes:
             truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, 5)]
-            got = engine.topk_tails(user, likes, 5).entities
+            got = engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk.entities
             scores.append(precision_at_k(truth, got))
         return float(np.mean(scores))
 

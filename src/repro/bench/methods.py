@@ -23,6 +23,7 @@ from repro.index.linear import ExhaustiveScan
 from repro.index.phtree import PHTreeIndex
 from repro.mf.als import ALSConfig, factorize_relation
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 
 
 class TopKMethod(abc.ABC):
@@ -128,11 +129,10 @@ class RTreeMethod(TopKMethod):
         return self._engine.index
 
     def query(self, query: Query, k: int) -> list[int]:
-        if query.direction == "tail":
-            result = self._engine.topk_tails(query.entity, query.relation, k)
-        else:
-            result = self._engine.topk_heads(query.entity, query.relation, k)
-        return list(result.entities)
+        spec = QuerySpec(
+            entity=query.entity, relation=query.relation, direction=query.direction, k=k
+        )
+        return list(self._engine.execute(spec).topk.entities)
 
 
 class H2ALSHMethod(TopKMethod):

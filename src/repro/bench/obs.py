@@ -29,6 +29,7 @@ from repro.bench.workloads import make_workload
 from repro.obs import trace
 from repro.obs.recorder import FlightRecorder
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,15 @@ def run_overhead_benchmark(
         dataset.graph, EngineConfig(index="cracking"), model=dataset.model
     )
     workload = make_workload(dataset.graph, queries_per_round, seed=seed, skew=0.6)
+    specs = [
+        QuerySpec(entity=q.entity, relation=q.relation, direction=q.direction, k=k)
+        for q in workload
+    ]
 
     def one_round() -> float:
         start = time.perf_counter()
-        for query in workload:
-            if query.direction == "tail":
-                engine.topk_tails(query.entity, query.relation, k)
-            else:
-                engine.topk_heads(query.entity, query.relation, k)
+        for spec in specs:
+            engine.execute(spec)
         return time.perf_counter() - start
 
     # Warm-up: crack the index to its steady shape, fill CPU caches.

@@ -22,6 +22,7 @@ from repro.bench.datasets import BenchDataset, movie_dataset
 from repro.bench.workloads import make_workload
 from repro.errors import IndexError_, InjectedFaultError, WorkerCrashError
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 from repro.resilience.chaos import ChaosController, activate
 from repro.resilience.retry import RetryPolicy
 from repro.service.replay import ReplayReport, replay
@@ -108,11 +109,9 @@ def run_resilience_benchmark(
         dataset.graph, EngineConfig(index=index), model=dataset.model
     )
     baseline = [
-        (
-            oracle_engine.topk_tails(q.entity, q.relation, k)
-            if q.direction == "tail"
-            else oracle_engine.topk_heads(q.entity, q.relation, k)
-        )
+        oracle_engine.execute(
+            QuerySpec(entity=q.entity, relation=q.relation, direction=q.direction, k=k)
+        ).topk
         for q in workload
     ]
 

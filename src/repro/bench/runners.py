@@ -26,6 +26,7 @@ from repro.bench.metrics import precision_at_k, relative_accuracy
 from repro.bench.reporting import print_table
 from repro.bench.timing import Timer
 from repro.bench.workloads import Query, make_workload
+from repro.query.spec import QuerySpec
 
 #: Queries whose individual latency the paper reports in Figs 3/5/7.
 PROBE_QUERIES = (1, 6, 11, 16)
@@ -426,23 +427,12 @@ def run_aggregate_tradeoff(
     engine = engine_method.engine
 
     def estimate(query: Query, fraction: float):
-        if query.direction == "tail":
-            return engine.aggregate_tails(
-                query.entity,
-                query.relation,
-                kind,
-                attribute,
-                p_tau=p_tau,
-                access_fraction=fraction,
-            )
-        return engine.aggregate_heads(
-            query.entity,
-            query.relation,
-            kind,
-            attribute,
-            p_tau=p_tau,
+        spec = QuerySpec(
+            entity=query.entity, relation=query.relation, direction=query.direction,
+            mode="aggregate", agg=kind, attribute=attribute, p_tau=p_tau,
             access_fraction=fraction,
         )
+        return engine.execute(spec).aggregate
 
     # Ground truth: full access of the ball (the paper's reference is
     # "accessing all data points up to a probability threshold").

@@ -20,6 +20,7 @@ from repro.bench.datasets import amazon_dataset
 from repro.bench.methods import H2ALSHMethod, NoIndexMethod, RTreeMethod
 from repro.bench.reporting import print_table
 from repro.bench.workloads import make_workload
+from repro.query.spec import QuerySpec
 
 
 @dataclass
@@ -74,10 +75,10 @@ def run_scalability(
         crack_points_total = 0
         start = time.perf_counter()
         for query in warm:
-            if query.direction == "tail":
-                result = crack.engine.topk_tails(query.entity, query.relation, k)
-            else:
-                result = crack.engine.topk_heads(query.entity, query.relation, k)
+            spec = QuerySpec(
+                entity=query.entity, relation=query.relation, direction=query.direction, k=k
+            )
+            result = crack.engine.execute(spec).topk
             crack_points_total += result.points_examined
         crack_seconds = (time.perf_counter() - start) / len(warm)
         crack_points = crack_points_total / len(warm)

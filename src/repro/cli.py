@@ -257,12 +257,16 @@ def _cmd_query(args) -> int:
         title = f"top-{args.k} heads of (?, {args.relation}, {args.tail})"
     print_table(title, ["entity", "probability"], rows)
     if args.explain:
+        from repro.query.spec import QuerySpec
+
         graph = vkg.graph
-        entity = graph.entities.id_of(args.head or args.tail)
-        relation = graph.relations.id_of(args.relation)
-        direction = "tail" if args.head is not None else "head"
-        explain = vkg.engine.explain_topk(entity, relation, args.k, direction)
-        print(explain.summary())
+        spec = QuerySpec(
+            entity=graph.entities.id_of(args.head or args.tail),
+            relation=graph.relations.id_of(args.relation),
+            direction="tail" if args.head is not None else "head",
+            k=args.k,
+        )
+        print(vkg.engine.explain(spec).summary())
     return 0
 
 
@@ -326,6 +330,7 @@ def _cmd_trace(args) -> int:
 
     from repro.obs import trace
     from repro.persistence import load_engine
+    from repro.query.spec import QuerySpec
     from repro.service.server import QueryService
 
     if (args.head is None) == (args.tail is None):
@@ -333,7 +338,12 @@ def _cmd_trace(args) -> int:
         return 2
     engine = load_engine(args.artifact)
     entity = args.head if args.head is not None else args.tail
-    direction = "tail" if args.head is not None else "head"
+    spec = QuerySpec(
+        entity=engine.graph.entities.id_of(entity),
+        relation=engine.graph.relations.id_of(args.relation),
+        direction="tail" if args.head is not None else "head",
+        k=args.k,
+    )
     records = []
     profiler = cProfile.Profile() if args.profile else None
     with QueryService(engine, workers=args.workers) as service:
@@ -348,9 +358,7 @@ def _cmd_trace(args) -> int:
             with trace.span("repro.trace") as sp:
                 sp.set_attribute("entity", entity)
                 sp.set_attribute("relation", args.relation)
-                detail = service.topk_detail(
-                    entity, args.relation, k=args.k, direction=direction
-                )
+                detail = service.execute(spec)
                 probabilities = service.engine.probabilities(detail.result)
                 with trace.span("http.serialize"):
                     body = json.dumps(

@@ -18,6 +18,7 @@ from repro.index.stats import AccessCounters, IndexStats
 from repro.index.store import PointStore
 from repro.index.topk_splits import TopKSplitsRTree
 from repro.index.validation import check_invariants
+from repro.index.variants import build_index, variant_name
 
 __all__ = [
     "Rect",
@@ -33,4 +34,6 @@ __all__ = [
     "knn_search",
     "knn_topk_s1",
     "check_invariants",
+    "build_index",
+    "variant_name",
 ]

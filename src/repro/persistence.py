@@ -33,9 +33,10 @@ import numpy as np
 from repro.embedding.pretrained import PretrainedEmbedding
 from repro.errors import ReproError
 from repro.index.store import PointStore
+from repro.index.variants import build_index, variant_name
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.io import load_attributes, load_triples, save_attributes, save_triples
-from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.engine import QueryEngine
 from repro.transform.jl import JLTransform
 
 _FORMAT_VERSION = 1
@@ -104,7 +105,7 @@ def _write_artifacts(engine: QueryEngine, path: Path, extra_meta: dict | None) -
         "graph_name": graph.name,
         "alpha": engine.transform.alpha,
         "epsilon": engine.epsilon,
-        "index": _index_variant_name(engine.index),
+        "index": variant_name(engine.index),
         "leaf_capacity": engine.index.leaf_capacity,
         "fanout": engine.index.fanout,
         "beta": engine.index.beta,
@@ -170,27 +171,11 @@ def load_engine(directory: str | os.PathLike[str]) -> QueryEngine:
     model = PretrainedEmbedding(entities, relations)
     transform = _transform_from_matrix(projection)
     store = PointStore(transform(entities))
-    config = EngineConfig(
-        alpha=meta["alpha"],
-        epsilon=meta["epsilon"],
-        index=meta["index"],
-        leaf_capacity=meta["leaf_capacity"],
-        fanout=meta["fanout"],
-        beta=meta["beta"],
+    index = build_index(
+        meta["index"], store, leaf_capacity=meta["leaf_capacity"],
+        fanout=meta["fanout"], beta=meta["beta"],
     )
-    index = QueryEngine._make_index(store, config)
     return QueryEngine(graph, model, transform, index, epsilon=meta["epsilon"])
-
-
-def _index_variant_name(index) -> str:
-    from repro.index.bulkload import BulkLoadedRTree
-    from repro.index.topk_splits import TopKSplitsRTree
-
-    if isinstance(index, BulkLoadedRTree):
-        return "bulk"
-    if isinstance(index, TopKSplitsRTree):
-        return f"topk{index.num_choices}"
-    return "cracking"
 
 
 def _transform_from_matrix(matrix: np.ndarray) -> JLTransform:

@@ -11,7 +11,6 @@ truth.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +18,10 @@ import numpy as np
 from repro.embedding.base import EmbeddingModel
 from repro.embedding.trainer import TrainConfig, train_model
 from repro.errors import QueryError
-from repro.index.bulkload import BulkLoadedRTree
-from repro.index.cracking import CrackingRTree
 from repro.index.geometry import Rect, row_distances
 from repro.index.linear import ExhaustiveScan
 from repro.index.store import PointStore
-from repro.index.topk_splits import TopKSplitsRTree
+from repro.index.variants import build_index
 from repro.kg.graph import KnowledgeGraph
 from repro.obs import trace
 from repro.query.aggregates import AggregateEstimate, AggregateProcessor
@@ -33,17 +30,6 @@ from repro.query.spec import QueryResult, QuerySpec
 from repro.query.topk import TopKResult, eligible_mask, find_topk
 from repro.transform.jl import JLTransform
 
-
-def _warn_deprecated(old: str) -> None:
-    warnings.warn(
-        f"QueryEngine.{old}() is deprecated; build a QuerySpec and call "
-        "execute(spec) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-#: Known index variant names accepted by :class:`EngineConfig.index`.
-INDEX_VARIANTS = ("cracking", "topk2", "topk3", "topk4", "bulk")
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +119,24 @@ class QueryEngine:
             index, self.s1_vectors, transform, graph.attributes, epsilon=epsilon
         )
 
+    # -- owned state: the index and the S1 matrix ---------------------------
+
+    def swap_index(self, index) -> None:
+        """Replace the spatial index every query family reads.
+
+        The caller must hold the engine exclusively (the pool's checkout,
+        or the shard's own lane).
+        """
+        self.index = index
+        self._aggregates.index = index
+
+    def set_s1_vectors(self, matrix: np.ndarray) -> None:
+        """Point the engine and its caches at a replaced S1 entity matrix
+        (the online updater grows it when an entity is appended)."""
+        self.s1_vectors = matrix
+        self._aggregates.s1_vectors = matrix
+        self._scan = ExhaustiveScan(matrix)
+
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -148,26 +152,11 @@ class QueryEngine:
             model = train_model(graph, config.train).model
         transform = JLTransform(model.dim, config.alpha, seed=config.seed)
         store = PointStore(transform(model.entity_vectors()))
-        index = cls._make_index(store, config)
+        index = build_index(
+            config.index, store, leaf_capacity=config.leaf_capacity,
+            fanout=config.fanout, beta=config.beta,
+        )
         return cls(graph, model, transform, index, epsilon=config.epsilon)
-
-    @staticmethod
-    def _make_index(store: PointStore, config: EngineConfig):
-        kwargs = dict(
-            leaf_capacity=config.leaf_capacity,
-            fanout=config.fanout,
-            beta=config.beta,
-        )
-        if config.index == "cracking":
-            return CrackingRTree(store, **kwargs)
-        if config.index == "bulk":
-            return BulkLoadedRTree(store, **kwargs)
-        if config.index.startswith("topk"):
-            choices = int(config.index.removeprefix("topk"))
-            return TopKSplitsRTree(store, num_choices=choices, **kwargs)
-        raise QueryError(
-            f"unknown index variant {config.index!r}; expected one of {INDEX_VARIANTS}"
-        )
 
     # -- the unified entrypoint ------------------------------------------------
 
@@ -185,12 +174,12 @@ class QueryEngine:
     def _topk_request(self, spec: QuerySpec):
         """Derive (query point, exclude set, allowed rows) from a spec."""
         if spec.direction == "tail":
-            exclude = set(self.graph.tails(spec.entity, spec.relation)) | {spec.entity}
+            exclude = self.graph.tails(spec.entity, spec.relation) | {spec.entity}
             query_point = self.model.tail_query_point(spec.entity, spec.relation)
         else:
-            exclude = set(self.graph.heads(spec.entity, spec.relation)) | {spec.entity}
+            exclude = self.graph.heads(spec.entity, spec.relation) | {spec.entity}
             query_point = self.model.head_query_point(spec.entity, spec.relation)
-        return query_point, frozenset(exclude), self._allowed_of_type(spec.entity_type)
+        return query_point, exclude, self._allowed_of_type(spec.entity_type)
 
     def _run_topk_spec(self, spec: QuerySpec) -> TopKResult:
         """Top-k execution hook; :class:`repro.shard.ShardedEngine`
@@ -220,36 +209,6 @@ class QueryEngine:
             exclude=exclude,
         )
 
-    # -- top-k queries (deprecated per-family wrappers) ------------------------
-
-    def topk_tails(
-        self, head: int, relation: int, k: int, entity_type: str | None = None
-    ) -> TopKResult:
-        """Top-k predicted tails of ``(head, relation, ?)`` (E' only).
-
-        .. deprecated:: use :meth:`execute` with a :class:`QuerySpec`.
-        """
-        _warn_deprecated("topk_tails")
-        spec = QuerySpec(
-            entity=head, relation=relation, direction="tail", k=k,
-            entity_type=entity_type,
-        )
-        return self.execute(spec).topk
-
-    def topk_heads(
-        self, tail: int, relation: int, k: int, entity_type: str | None = None
-    ) -> TopKResult:
-        """Top-k predicted heads of ``(?, relation, tail)`` (E' only).
-
-        .. deprecated:: use :meth:`execute` with a :class:`QuerySpec`.
-        """
-        _warn_deprecated("topk_heads")
-        spec = QuerySpec(
-            entity=tail, relation=relation, direction="head", k=k,
-            entity_type=entity_type,
-        )
-        return self.execute(spec).topk
-
     def _allowed_of_type(self, entity_type: str | None) -> np.ndarray | None:
         if entity_type is None:
             return None
@@ -272,7 +231,7 @@ class QueryEngine:
         """
         if not 0.0 < p_tau <= 1.0:
             raise QueryError("p_tau must be in (0, 1]")
-        exclude = frozenset(set(self.graph.tails(head, relation)) | {head})
+        exclude = self.graph.tails(head, relation) | {head}
         q1 = self.model.tail_query_point(head, relation)
         seed = find_topk(
             self.index, self.s1_vectors, self.transform, q1, 1,
@@ -299,32 +258,20 @@ class QueryEngine:
         return [(int(e), float(p)) for e, p in pairs]
 
     def exhaustive_topk_tails(self, head: int, relation: int, k: int):
-        """No-index ground truth for :meth:`topk_tails`."""
+        """No-index ground truth for a tail-direction top-k spec."""
         exclude = set(self.graph.tails(head, relation)) | {head}
         return self._scan.topk(
             self.model.tail_query_point(head, relation), k, frozenset(exclude)
         )
 
     def exhaustive_topk_heads(self, tail: int, relation: int, k: int):
-        """No-index ground truth for :meth:`topk_heads`."""
+        """No-index ground truth for a head-direction top-k spec."""
         exclude = set(self.graph.heads(tail, relation)) | {tail}
         return self._scan.topk(
             self.model.head_query_point(tail, relation), k, frozenset(exclude)
         )
 
     # -- EXPLAIN -----------------------------------------------------------------
-
-    def explain_topk(
-        self,
-        entity: int,
-        relation: int,
-        k: int,
-        direction: str = "tail",
-    ) -> "QueryExplain":
-        """Run a top-k query and report what the index did for it."""
-        return self.explain(
-            QuerySpec(entity=entity, relation=relation, direction=direction, k=k)
-        )
 
     def explain(self, spec: QuerySpec) -> "QueryExplain":
         """Run a top-k spec and report what the index did for it.
@@ -377,43 +324,3 @@ class QueryEngine:
             probs = tuple(model.probability(d) for d in result.distances)
             sp.set_attribute("entities", len(probs))
         return probs
-
-    # -- aggregate queries (deprecated per-family wrappers) ----------------------
-
-    def aggregate_tails(
-        self,
-        head: int,
-        relation: int,
-        kind: str,
-        attribute: str | None = None,
-        **kwargs,
-    ) -> AggregateEstimate:
-        """Aggregate over predicted tails of ``(head, relation, ?)``.
-
-        .. deprecated:: use :meth:`execute` with a :class:`QuerySpec`.
-        """
-        _warn_deprecated("aggregate_tails")
-        spec = QuerySpec(
-            entity=head, relation=relation, direction="tail", mode="aggregate",
-            agg=kind, attribute=attribute, **kwargs,
-        )
-        return self.execute(spec).aggregate
-
-    def aggregate_heads(
-        self,
-        tail: int,
-        relation: int,
-        kind: str,
-        attribute: str | None = None,
-        **kwargs,
-    ) -> AggregateEstimate:
-        """Aggregate over predicted heads of ``(?, relation, tail)``.
-
-        .. deprecated:: use :meth:`execute` with a :class:`QuerySpec`.
-        """
-        _warn_deprecated("aggregate_heads")
-        spec = QuerySpec(
-            entity=tail, relation=relation, direction="head", mode="aggregate",
-            agg=kind, attribute=attribute, **kwargs,
-        )
-        return self.execute(spec).aggregate

@@ -6,8 +6,7 @@ five aggregate kinds, in both directions, typed or not — is one
 immutable :class:`QuerySpec`. A spec is hashable, so it doubles as a
 dedup/cache key, and every internal call site (engine, pool, batch,
 replay, HTTP) routes through :meth:`QueryEngine.execute`, which takes a
-spec and returns a :class:`QueryResult`. The per-family legacy methods
-(``topk_tails`` and friends) survive as thin deprecated wrappers.
+spec and returns a :class:`QueryResult`.
 """
 
 from __future__ import annotations

@@ -39,9 +39,9 @@ import threading
 import numpy as np
 
 from repro.errors import IndexError_, ReproError
-from repro.index.bulkload import BulkLoadedRTree
 from repro.index.geometry import row_distances
 from repro.index.validation import check_invariants
+from repro.index.variants import build_index, variant_name
 from repro.obs import trace
 from repro.obs.logging import get_logger
 from repro.query.spec import QuerySpec
@@ -96,7 +96,7 @@ class DegradationLadder:
         self.auto_rebuild = auto_rebuild
         self._lock = threading.Lock()
         self._states: dict[int, _EngineState] = {}
-        self._specs: dict[int, tuple[type, dict]] = {}
+        self._specs: dict[int, str | None] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -110,7 +110,7 @@ class DegradationLadder:
                 # "index" is a router, not a constructible tree).
                 self._specs[key] = (
                     None if getattr(engine, "is_sharded", False)
-                    else _index_spec(engine.index)
+                    else variant_name(engine.index)
                 )
             return state
 
@@ -159,30 +159,7 @@ class DegradationLadder:
                 except Exception as exc:
                     self._handle(engine, state, exc)
         state.queries_since_downgrade += 1
-        return (
-            self._linear_topk(
-                engine, spec.entity, spec.relation, spec.k, spec.direction,
-                spec.entity_type,
-            ),
-            None,
-        )
-
-    def explain_topk(self, engine, entity: int, relation: int, k: int, direction: str):
-        """Guarded top-k by coordinates; see :meth:`run_topk`."""
-        return self.run_topk(
-            engine,
-            QuerySpec(entity=entity, relation=relation, direction=direction, k=k),
-        )
-
-    def topk_typed(
-        self, engine, entity: int, relation: int, k: int, direction: str, entity_type: str
-    ) -> TopKResult:
-        """Guarded type-filtered top-k."""
-        spec = QuerySpec(
-            entity=entity, relation=relation, direction=direction, k=k,
-            entity_type=entity_type,
-        )
-        return self.run_topk(engine, spec)[0]
+        return self._linear_topk(engine, spec), None
 
     def run_aggregate(self, engine, spec: QuerySpec):
         """Guarded aggregate for one spec. The estimators need an index
@@ -203,25 +180,8 @@ class DegradationLadder:
         # Linear rung: aggregates run against a freshly built bulk tree
         # (built from the store, which is the ground truth).
         state.queries_since_downgrade += 1
-        self._install_fresh_bulk(engine)
+        self._install_bulk(engine)
         return engine.execute(spec).aggregate
-
-    def aggregate(
-        self,
-        engine,
-        entity: int,
-        relation: int,
-        kind: str,
-        attribute: str | None,
-        direction: str,
-        **kwargs,
-    ):
-        """Guarded aggregate by coordinates; see :meth:`run_aggregate`."""
-        spec = QuerySpec(
-            entity=entity, relation=relation, direction=direction,
-            mode="aggregate", agg=kind, attribute=attribute, **kwargs,
-        )
-        return self.run_aggregate(engine, spec)
 
     # -- transitions -------------------------------------------------------
 
@@ -255,7 +215,7 @@ class DegradationLadder:
         if state.level == 1:
             # A fresh bulk tree over the same store answers identically;
             # the broken tree is simply dropped.
-            self._install_fresh_bulk(engine)
+            self._install_bulk(engine)
 
     def _maybe_rebuild(self, engine, state: _EngineState) -> None:
         if (
@@ -275,15 +235,13 @@ class DegradationLadder:
         """
         state = self._state(engine)
         if getattr(engine, "is_sharded", False):
-            engine.rebuild_native()
-            variant = engine._variant_cls.__name__
+            variant = engine.rebuild_native()
         else:
             with self._lock:
-                cls, kwargs = self._specs[id(engine)]
-            fresh = cls(engine.index.store, **kwargs)
+                variant = self._specs[id(engine)]
+            fresh = _fresh_tree(variant, engine.index)
             check_invariants(fresh)
-            self._swap_index(engine, fresh)
-            variant = cls.__name__
+            engine.swap_index(fresh)
         state.level = 0
         state.queries_since_downgrade = 0
         state.last_error = ""
@@ -307,47 +265,28 @@ class DegradationLadder:
             self._increment("engines_repaired")
             return True
 
-    @staticmethod
-    def _swap_index(engine, index) -> None:
-        engine.index = index
-        engine._aggregates.index = index
-
-    def _install_fresh_bulk(self, engine) -> None:
+    def _install_bulk(self, engine) -> None:
         """Drop to bulk trees: per-shard for a sharded engine (one fresh
         bulk tree per shard, swapped on each shard's own lane), one tree
         otherwise."""
         if getattr(engine, "is_sharded", False):
-            engine.install_indexes(engine.fresh_indexes(BulkLoadedRTree))
+            engine.install_indexes(engine.fresh_indexes("bulk"))
         else:
-            self._swap_index(engine, _fresh_bulk(engine))
+            engine.swap_index(_fresh_tree("bulk", engine.index))
 
     # -- the last rung -----------------------------------------------------
 
     @staticmethod
-    def _linear_topk(
-        engine,
-        entity: int,
-        relation: int,
-        k: int,
-        direction: str,
-        entity_type: str | None = None,
-    ) -> TopKResult:
+    def _linear_topk(engine, spec: QuerySpec) -> TopKResult:
         """Exact top-k by one vectorised scan over the eligible S1 rows
         (the type's rows minus the excluded ids), ties broken by id."""
-        graph = engine.graph
-        if direction == "tail":
-            query_point = engine.model.tail_query_point(entity, relation)
-            exclude = set(graph.tails(entity, relation)) | {entity}
-        else:
-            query_point = engine.model.head_query_point(entity, relation)
-            exclude = set(graph.heads(entity, relation)) | {entity}
+        query_point, exclude, allowed = engine._topk_request(spec)
         vectors = engine.s1_vectors
-        allowed = None if entity_type is None else graph.type_rows(entity_type)
         rows = np.flatnonzero(eligible_mask(len(vectors), exclude, allowed))
         dists = row_distances(
             vectors, rows, np.asarray(query_point, dtype=np.float64)
         )
-        ids, dists = smallest_k(rows, dists, k)
+        ids, dists = smallest_k(rows, dists, spec.k)
         return TopKResult(
             entities=tuple(ids.tolist()),
             distances=tuple(dists.tolist()),
@@ -359,18 +298,9 @@ class DegradationLadder:
         )
 
 
-def _index_spec(index) -> tuple[type, dict]:
-    """Constructor recipe to rebuild a fresh index of the same variant."""
-    kwargs = dict(
-        leaf_capacity=index.leaf_capacity, fanout=index.fanout, beta=index.beta
-    )
-    if hasattr(index, "num_choices"):
-        kwargs["num_choices"] = index.num_choices
-    return type(index), kwargs
-
-
-def _fresh_bulk(engine) -> BulkLoadedRTree:
-    old = engine.index
-    return BulkLoadedRTree(
-        old.store, leaf_capacity=old.leaf_capacity, fanout=old.fanout, beta=old.beta
+def _fresh_tree(variant: str, index):
+    """A fresh ``variant`` tree over ``index``'s store with its geometry."""
+    return build_index(
+        variant, index.store, leaf_capacity=index.leaf_capacity,
+        fanout=index.fanout, beta=index.beta,
     )

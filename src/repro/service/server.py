@@ -6,20 +6,16 @@
 :class:`~repro.service.metrics.ServingMetrics` registry, and serves
 every query through one unified call — ``execute(spec)`` with a
 :class:`~repro.query.spec.QuerySpec` — that is safe to hammer from many
-threads (``topk`` / ``aggregate`` remain as thin conveniences over it).
-:func:`make_server` wraps a service in a ``ThreadingHTTPServer`` JSON
-API:
+threads. :func:`make_server` wraps a service in a
+``ThreadingHTTPServer`` JSON API:
 
-- ``POST /v1/query`` (a JSON ``QuerySpec``; the one modern endpoint for
+- ``POST /v1/query`` (a JSON ``QuerySpec``; the one query endpoint for
   both query families, also reachable as ``GET /v1/query?...``). Every
   ``/v1`` response is the ``{"result": ..., "meta": ..., "error": ...}``
   envelope; failures carry a stable machine-readable ``error.code``
   (``bad_request``, ``queue_full``, ``deadline_exceeded``,
-  ``circuit_open``, ``transient``, ``internal``).
-- ``GET /topk?entity=..&relation=..&k=..&direction=..`` (deprecated
-  alias; responds with a ``Deprecation: true`` header)
-- ``GET /aggregate?entity=..&relation=..&kind=..&attribute=..``
-  (deprecated alias, same header)
+  ``circuit_open``, ``transient``, ``internal``). Errors on the other
+  endpoints use the same envelope.
 - ``GET /metrics`` (plain text; ``?format=json`` for the snapshot,
   ``?format=prometheus`` for the Prometheus text exposition)
 - ``GET /healthz`` (per-engine degradation levels, worker heartbeats,
@@ -269,62 +265,6 @@ class QueryService:
             self.metrics.record_request(elapsed, cache_hit=False)
             return ServiceResult(estimate, False, elapsed)
 
-    def topk(
-        self,
-        entity: int | str,
-        relation: int | str,
-        k: int = DEFAULT_K,
-        direction: str = "tail",
-        timeout: float | None = None,
-        entity_type: str | None = None,
-    ) -> TopKResult:
-        """Serve one top-k query (cache → pool → engine)."""
-        return self.topk_detail(
-            entity, relation, k, direction, timeout=timeout, entity_type=entity_type
-        ).result
-
-    def topk_detail(
-        self,
-        entity: int | str,
-        relation: int | str,
-        k: int = DEFAULT_K,
-        direction: str = "tail",
-        timeout: float | None = None,
-        entity_type: str | None = None,
-    ) -> ServiceResult:
-        """Like :meth:`topk` but also reports cache provenance."""
-        spec = QuerySpec(
-            entity=self._entity_id(entity),
-            relation=self._relation_id(relation),
-            direction=direction,
-            k=k,
-            entity_type=entity_type,
-        )
-        return self.execute(spec, timeout=timeout)
-
-    def aggregate(
-        self,
-        entity: int | str,
-        relation: int | str,
-        kind: str,
-        attribute: str | None = None,
-        direction: str = "tail",
-        timeout: float | None = None,
-        **kwargs,
-    ):
-        """Serve one aggregate query (never cached: the estimate depends
-        on continuous knobs like ``p_tau`` and ``access_fraction``)."""
-        spec = QuerySpec(
-            entity=self._entity_id(entity),
-            relation=self._relation_id(relation),
-            direction=direction,
-            mode="aggregate",
-            agg=kind,
-            attribute=attribute,
-            **kwargs,
-        )
-        return self.execute(spec, timeout=timeout).result
-
     # -- guarded execution -------------------------------------------------
 
     def _guarded(self, fn, timeout: float | None):
@@ -442,10 +382,6 @@ def _status_of(exc: Exception) -> int:
     return 500
 
 
-#: Response headers marking the pre-``/v1`` endpoints (RFC 9745 style).
-_DEPRECATED = (("Deprecation", "true"),)
-
-
 def _error_code(exc: Exception) -> str:
     """The stable machine-readable code for the ``/v1`` error envelope.
 
@@ -453,7 +389,7 @@ def _error_code(exc: Exception) -> str:
     ``queue_full``/``transient``/``circuit_open``, fix the request on
     ``bad_request``), so they never change even if exception class names
     do. The HTTP status for a code is exactly what :func:`_status_of`
-    maps the exception to — the two API generations agree on statuses.
+    maps the exception to.
     """
     if isinstance(exc, QueueFullError):
         return "queue_full"
@@ -481,7 +417,7 @@ def _ref_of(value) -> int | str:
 def _spec_of(service: QueryService, params: dict) -> tuple[QuerySpec, float | None]:
     """Build a :class:`QuerySpec` (plus the request timeout) from request
     parameters — the one place where ``k``, ``epsilon`` and every other
-    query knob defaults, shared by ``/v1/query`` and the legacy aliases.
+    query knob defaults.
 
     ``params`` values may be strings (query parameters) or native JSON
     types (the ``/v1/query`` body); both spell the same spec.
@@ -529,9 +465,7 @@ def _spec_of(service: QueryService, params: dict) -> tuple[QuerySpec, float | No
 
 
 def _topk_payload(service: QueryService, result: TopKResult) -> dict:
-    """The top-k result body, shared verbatim between ``/v1/query``'s
-    ``result`` field and the legacy ``/topk`` response (which appends
-    its provenance fields inline)."""
+    """The top-k result body: ``/v1/query``'s ``result`` field."""
     graph = service.engine.graph
     probabilities = service.engine.probabilities(result)
     return {
@@ -543,7 +477,7 @@ def _topk_payload(service: QueryService, result: TopKResult) -> dict:
 
 
 def _aggregate_payload(estimate) -> dict:
-    """The aggregate result body, shared between API generations."""
+    """The aggregate result body: ``/v1/query``'s ``result`` field."""
     return {
         "kind": estimate.kind,
         "value": float(estimate.value),
@@ -574,18 +508,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         body = json.dumps(payload).encode("utf-8")
         self._send(status, body, "application/json", headers)
 
-    def _send_error_json(self, exc: Exception):
-        status = _status_of(exc)
-        headers = []
-        if isinstance(exc, (QueueFullError, CircuitOpenError)):
-            headers.append(("Retry-After", f"{exc.retry_after:.3f}"))
-        self._send_json(
-            status, {"error": type(exc).__name__, "detail": str(exc)}, headers
-        )
-
-    def _send_v1_error(self, exc: Exception):
-        """The ``/v1`` error envelope: same statuses as the legacy
-        mapping, plus a stable ``error.code``."""
+    def _send_error(self, exc: Exception):
+        """The one error writer: the ``/v1`` envelope with the status of
+        :func:`_status_of` and a stable ``error.code``."""
         headers = []
         if isinstance(exc, (QueueFullError, CircuitOpenError)):
             headers.append(("Retry-After", f"{exc.retry_after:.3f}"))
@@ -608,15 +533,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             self._route_v1(params)
             return
         try:
-            if url.path == "/topk":
-                with trace.span("http.request") as sp:
-                    sp.set_attribute("path", url.path)
-                    self._handle_topk(params)
-            elif url.path == "/aggregate":
-                with trace.span("http.request") as sp:
-                    sp.set_attribute("path", url.path)
-                    self._handle_aggregate(params)
-            elif url.path == "/metrics":
+            if url.path == "/metrics":
                 self._handle_metrics(params)
             elif url.path == "/healthz":
                 self._handle_healthz()
@@ -625,7 +542,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             else:
                 self._send_json(404, {"error": "NotFound", "detail": url.path})
         except Exception as exc:  # noqa: BLE001 - mapped to a status code
-            self._send_error_json(exc)
+            self._send_error(exc)
 
     def do_POST(self):  # noqa: N802 - stdlib naming
         url = urlparse(self.path)
@@ -639,7 +556,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             if not isinstance(params, dict):
                 raise ValueError("the request body must be a JSON object")
         except (ValueError, UnicodeDecodeError) as exc:
-            self._send_v1_error(exc)
+            self._send_error(exc)
             return
         self._route_v1(params)
 
@@ -649,7 +566,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 sp.set_attribute("path", "/v1/query")
                 self._handle_v1_query(params)
         except Exception as exc:  # noqa: BLE001 - mapped to a status code
-            self._send_v1_error(exc)
+            self._send_error(exc)
 
     # -- endpoints ---------------------------------------------------------
 
@@ -675,24 +592,6 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                     "error": None,
                 },
             )
-
-    def _handle_topk(self, params: dict[str, str]) -> None:
-        service = self.server.service
-        spec, timeout = _spec_of(service, dict(params, mode="topk"))
-        detail = service.execute(spec, timeout=timeout)
-        with trace.span("http.serialize"):
-            payload = _topk_payload(service, detail.result)
-            payload["cached"] = detail.cached
-            payload["elapsed_seconds"] = detail.elapsed_seconds
-            self._send_json(200, payload, headers=_DEPRECATED)
-
-    def _handle_aggregate(self, params: dict[str, str]) -> None:
-        service = self.server.service
-        spec, timeout = _spec_of(service, dict(params, mode="aggregate"))
-        detail = service.execute(spec, timeout=timeout)
-        self._send_json(
-            200, _aggregate_payload(detail.result), headers=_DEPRECATED
-        )
 
     def _handle_metrics(self, params: dict[str, str]) -> None:
         metrics = self.server.service.metrics
@@ -819,8 +718,7 @@ def serve_forever(service: QueryService, host: str = "127.0.0.1", port: int = 80
     _log.info(
         "serving",
         url=f"http://{bound_host}:{bound_port}",
-        endpoints=["/v1/query", "/topk", "/aggregate", "/metrics", "/healthz",
-                   "/debug/traces"],
+        endpoints=["/v1/query", "/metrics", "/healthz", "/debug/traces"],
         tracing=trace.enabled(),
     )
     try:

@@ -31,6 +31,7 @@ from repro.index.geometry import row_distances
 from repro.index.stats import AccessCounters, IndexStats
 from repro.index.store import PointStore, ShardStoreView
 from repro.index.validation import check_invariants
+from repro.index.variants import build_index, variant_name
 from repro.obs import trace
 from repro.query.engine import QueryEngine
 from repro.query.spec import QuerySpec
@@ -43,16 +44,9 @@ from repro.shard.plan import ShardPlan
 _UNASSIGNED = -1
 
 
-def _variant_of(index) -> tuple[type, dict]:
-    """The (class, kwargs) recipe to build a fresh tree of this kind."""
-    kwargs = {
-        "leaf_capacity": index.leaf_capacity,
-        "fanout": index.fanout,
-        "beta": index.beta,
-    }
-    if hasattr(index, "num_choices"):
-        kwargs["num_choices"] = index.num_choices
-    return type(index), kwargs
+def _geometry_of(index) -> dict:
+    """The tree geometry :func:`build_index` takes besides the variant."""
+    return {"leaf_capacity": index.leaf_capacity, "fanout": index.fanout, "beta": index.beta}
 
 
 class ShardRouter:
@@ -97,15 +91,15 @@ class ShardRouter:
 
     @property
     def leaf_capacity(self) -> int:
-        return self._engine._variant_kwargs["leaf_capacity"]
+        return self._engine._geometry["leaf_capacity"]
 
     @property
     def fanout(self) -> int:
-        return self._engine._variant_kwargs["fanout"]
+        return self._engine._geometry["fanout"]
 
     @property
     def beta(self) -> float:
-        return self._engine._variant_kwargs["beta"]
+        return self._engine._geometry["beta"]
 
     @property
     def height(self) -> int:
@@ -209,7 +203,8 @@ class ShardedEngine(QueryEngine):
         self._shard_engines = list(shard_engines)
         self._plan = plan
         self._store = store
-        self._variant_cls, self._variant_kwargs = _variant_of(shard_engines[0].index)
+        self._variant = variant_name(shard_engines[0].index)
+        self._geometry = _geometry_of(shard_engines[0].index)
         assignment = np.full(store.size, _UNASSIGNED, dtype=np.int64)
         for shard, engine in enumerate(self._shard_engines):
             # A shard's initial id set is exactly what its tree indexes.
@@ -239,10 +234,10 @@ class ShardedEngine(QueryEngine):
         store = engine.index.store
         plan = ShardPlan.build(shards, scheme=scheme, coords=store.coords)
         groups = plan.partition(np.arange(store.size), coords=store.coords)
-        index_cls, index_kwargs = _variant_of(engine.index)
+        variant, geometry = variant_name(engine.index), _geometry_of(engine.index)
         shard_engines = []
         for ids in groups:
-            tree = index_cls(ShardStoreView(store), ids=ids, **index_kwargs)
+            tree = build_index(variant, ShardStoreView(store), ids=ids, **geometry)
             shard_engines.append(
                 QueryEngine(
                     engine.graph, engine.model, engine.transform, tree,
@@ -277,21 +272,13 @@ class ShardedEngine(QueryEngine):
 
     # -- shard bookkeeping -------------------------------------------------
 
-    @property
-    def s1_vectors(self) -> np.ndarray:
-        return self._s1_vectors
-
-    @s1_vectors.setter
-    def s1_vectors(self, value: np.ndarray) -> None:
-        # The online updater refreshes this cache when the entity matrix
-        # is *replaced* (entity append); the shard engines hold their own
-        # copies of the same cache, so the refresh must fan out or their
-        # trees would keep querying the outgrown matrix.
-        self._s1_vectors = value
-        for engine in getattr(self, "_shard_engines", ()):
-            engine.s1_vectors = value
-            engine._aggregates.s1_vectors = value
-            engine._scan._vectors = value
+    def set_s1_vectors(self, matrix: np.ndarray) -> None:
+        # The shard engines hold their own copies of the same cache, so
+        # the refresh must fan out or their trees would keep querying the
+        # outgrown matrix.
+        super().set_s1_vectors(matrix)
+        for engine in self._shard_engines:
+            engine.set_s1_vectors(matrix)
 
     @property
     def num_shards(self) -> int:
@@ -355,23 +342,15 @@ class ShardedEngine(QueryEngine):
                 # only structures the parent process can ever corrupt.
                 validate(self._shard_engines[shard])
 
-    def fresh_indexes(self, index_cls: type | None = None) -> list:
+    def fresh_indexes(self, variant: str | None = None) -> list:
         """Fresh per-shard trees over the current id sets (built off the
-        lanes: construction reads only the shared store).
-
-        With ``index_cls`` given (e.g. the ladder's bulk fallback), only
-        the base tree geometry carries over, not variant-specific knobs.
-        """
-        if index_cls is None:
-            cls, kwargs = self._variant_cls, dict(self._variant_kwargs)
-        else:
-            cls = index_cls
-            kwargs = {
-                key: self._variant_kwargs[key]
-                for key in ("leaf_capacity", "fanout", "beta")
-            }
+        lanes: construction reads only the shared store), of ``variant``
+        (e.g. the ladder's ``"bulk"`` fallback) or else the native one."""
         return [
-            cls(ShardStoreView(self._store), ids=self.shard_ids(shard), **kwargs)
+            build_index(
+                variant or self._variant, ShardStoreView(self._store),
+                ids=self.shard_ids(shard), **self._geometry,
+            )
             for shard in range(self.num_shards)
         ]
 
@@ -381,21 +360,21 @@ class ShardedEngine(QueryEngine):
             raise ServiceError("install_indexes needs one tree per shard")
         futures = []
         for shard, tree in enumerate(trees):
-            def swap(engine, tree=tree):
-                engine.index = tree
-                engine._aggregates.index = tree
-
-            futures.append(self._executor.submit(shard, swap))
+            futures.append(
+                self._executor.submit(shard, lambda engine, tree=tree: engine.swap_index(tree))
+            )
         for future in futures:
             future.result()
 
-    def rebuild_native(self) -> None:
+    def rebuild_native(self) -> str:
         """Rebuild every shard as a fresh native-variant tree, validate,
-        and install — the sharded analogue of the ladder's rebuild."""
+        and install — the sharded analogue of the ladder's rebuild.
+        Returns the native variant's name."""
         trees = self.fresh_indexes()
         for shard, tree in enumerate(trees):
             check_invariants(tree, expected_ids=self.shard_ids(shard))
         self.install_indexes(trees)
+        return self._variant
 
     def close(self) -> None:
         """Stop the shard lanes (and fork workers). Idempotent."""

@@ -8,6 +8,7 @@ from repro.embedding.trainer import TrainConfig, train_model
 from repro.errors import QueryError
 from repro.kg.generators import movielens_like
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 
 
 @pytest.fixture
@@ -31,11 +32,11 @@ def test_add_edge_excludes_from_predictions(engine, updater):
     graph = engine.graph
     likes = graph.relations.id_of("likes")
     user = graph.entities.id_of("user:0")
-    result = engine.topk_tails(user, likes, 5)
+    result = engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk
     target = result.entities[0]
     report = updater.add_edge(user, likes, target)
     assert user in report.entities_touched
-    after = engine.topk_tails(user, likes, 5)
+    after = engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk
     assert target not in after.entities  # now a known edge, E' excludes it
 
 
@@ -48,7 +49,7 @@ def test_add_edge_runs_local_steps_and_reindexes(engine, updater):
     assert report.local_steps == updater.local_epochs
     assert report.max_displacement >= 0.0
     # Index search still matches brute force after the re-indexing.
-    result = engine.topk_tails(user, likes, 5)
+    result = engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk
     truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, 5)]
     assert len(set(result.entities) & set(truth)) >= 3
 
@@ -77,7 +78,7 @@ def test_remove_edge_restores_predictability(engine, updater):
     assert not graph.has_triple(user, likes, target)
     # The removed edge's tail may now appear in predictions again (it is
     # at least no longer excluded).
-    result = engine.topk_tails(user, likes, graph.num_entities // 2)
+    result = engine.execute(QuerySpec(entity=user, relation=likes, k=graph.num_entities // 2)).topk
     assert target in result.entities
 
 
@@ -99,7 +100,7 @@ def test_add_entity_then_edges_integrates_it(engine, updater):
     # Give the new user a few likes and query them.
     for movie_name in ("movie:1", "movie:2", "movie:3"):
         updater.add_edge(newbie, likes, graph.entities.id_of(movie_name))
-    result = engine.topk_tails(newbie, likes, 5)
+    result = engine.execute(QuerySpec(entity=newbie, relation=likes, k=5)).topk
     assert len(result) == 5
     assert newbie not in result.entities
 
@@ -131,7 +132,7 @@ def test_set_entity_vector_frozen_model_path():
     # movie:1 region should behave consistently (index not corrupted).
     likes = graph.relations.id_of("likes")
     user = graph.entities.id_of("user:0")
-    result = engine.topk_tails(user, likes, 5)
+    result = engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk
     truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, 5)]
     assert len(set(result.entities) & set(truth)) >= 4
 

@@ -8,6 +8,7 @@ engine returns — and produce zero spans, zero trace deliveries.
 from repro.bench.workloads import make_workload
 from repro.obs import trace
 from repro.obs.trace import NOOP_SPAN
+from repro.query.spec import QuerySpec
 from repro.service.replay import replay
 from repro.service.server import QueryService
 
@@ -15,10 +16,10 @@ from repro.service.server import QueryService
 def _sequential_baseline(engine, workload, k):
     expected = []
     for query in workload:
-        if query.direction == "tail":
-            result = engine.topk_tails(query.entity, query.relation, k)
-        else:
-            result = engine.topk_heads(query.entity, query.relation, k)
+        spec = QuerySpec(
+            entity=query.entity, relation=query.relation, direction=query.direction, k=k
+        )
+        result = engine.execute(spec).topk
         expected.append((query.entity, result.entities, result.distances))
     return expected
 
@@ -59,10 +60,10 @@ def test_instrumented_index_is_deterministic_across_tracing_modes(make_engine, d
             trace.enable()
         try:
             for query in workload:
-                if query.direction == "tail":
-                    result = engine.topk_tails(query.entity, query.relation, 5)
-                else:
-                    result = engine.topk_heads(query.entity, query.relation, 5)
+                spec = QuerySpec(
+                    entity=query.entity, relation=query.relation, direction=query.direction, k=5
+                )
+                result = engine.execute(spec).topk
                 results.append(result.entities)
         finally:
             trace.disable()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import IndexError_
 from repro.obs import trace
+from repro.query.spec import QuerySpec
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosController
 from repro.service.server import QueryService, _ScrapeMemo, start_in_thread
@@ -41,7 +42,7 @@ def _get_json(url):
 def _query_url(base, dataset, k=5):
     graph, world = dataset
     user = graph.entities.name_of(world.members("user")[0])
-    return f"{base}/topk?entity={user}&relation=likes&k={k}"
+    return f"{base}/v1/query?entity={user}&relation=likes&k={k}"
 
 
 # -- Prometheus exposition ---------------------------------------------------
@@ -175,7 +176,7 @@ def test_injected_fault_appears_as_span_event(engine):
     with QueryService(engine, workers=1, trace_threshold=0.0) as service:
         with chaos.activate(controller):
             with trace.capture() as records:
-                service.topk(5, 0, k=3)
+                service.execute(QuerySpec(entity=5, relation=0, k=3))
     assert controller.fired("service.query") == 1
     events = [
         event
@@ -195,7 +196,7 @@ def test_degradation_appears_as_span_event(engine):
     with QueryService(engine, workers=1, trace_threshold=0.0) as service:
         with chaos.activate(controller):
             with trace.capture() as records:
-                result = service.topk(5, 0, k=3)
+                result = service.execute(QuerySpec(entity=5, relation=0, k=3)).result
     assert len(result.entities) == 3  # answered despite the injected fault
     events = [
         event

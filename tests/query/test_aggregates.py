@@ -5,6 +5,15 @@ import pytest
 
 from repro.errors import QueryError
 from repro.query.aggregates import _expected_max
+from repro.query.spec import QuerySpec
+
+
+def _estimate(engine, head, relation, agg, attribute=None, **knobs):
+    """One tail-direction aggregate spec through ``engine.execute``."""
+    spec = QuerySpec(
+        entity=head, relation=relation, mode="aggregate", agg=agg, attribute=attribute, **knobs
+    )
+    return engine.execute(spec).aggregate
 
 
 class TestExpectedMax:
@@ -38,7 +47,7 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(user, likes, "count", p_tau=0.2)
+        estimate = _estimate(engine, user, likes, "count", p_tau=0.2)
         assert estimate.kind == "count"
         assert estimate.ball_size > 0
         assert 0 < estimate.value <= estimate.ball_size + 1
@@ -48,7 +57,7 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[1]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(user, likes, "count", p_tau=0.2)
+        estimate = _estimate(engine, user, likes, "count", p_tau=0.2)
         assert estimate.accessed == estimate.ball_size
 
     def test_sum_requires_attribute(self, engine, dataset):
@@ -56,13 +65,13 @@ class TestEstimates:
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
         with pytest.raises(QueryError):
-            engine.aggregate_tails(user, likes, "sum")
+            _estimate(engine, user, likes, "sum")
 
     def test_avg_year_in_plausible_range(self, engine, dataset):
         graph, world = dataset
         user = world.members("user")[2]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(user, likes, "avg", "year", p_tau=0.1)
+        estimate = _estimate(engine, user, likes, "avg", "year", p_tau=0.1)
         assert 1930 <= estimate.value <= 2018
 
     def test_sampling_approaches_full_access(self, engine, dataset):
@@ -72,14 +81,14 @@ class TestEstimates:
         likes = graph.relations.id_of("likes")
         errors_small, errors_large = [], []
         for user in world.members("user")[:6]:
-            full = engine.aggregate_tails(
-                user, likes, "avg", "year", p_tau=0.1, access_fraction=1.0
+            full = _estimate(
+                engine, user, likes, "avg", "year", p_tau=0.1, access_fraction=1.0
             )
-            small = engine.aggregate_tails(
-                user, likes, "avg", "year", p_tau=0.1, access_fraction=0.1
+            small = _estimate(
+                engine, user, likes, "avg", "year", p_tau=0.1, access_fraction=0.1
             )
-            large = engine.aggregate_tails(
-                user, likes, "avg", "year", p_tau=0.1, access_fraction=0.7
+            large = _estimate(
+                engine, user, likes, "avg", "year", p_tau=0.1, access_fraction=0.7
             )
             errors_small.append(abs(small.value - full.value))
             errors_large.append(abs(large.value - full.value))
@@ -89,8 +98,8 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[3]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(
-            user, likes, "max", "year", p_tau=0.1, access_fraction=1.0
+        estimate = _estimate(
+            engine, user, likes, "max", "year", p_tau=0.1, access_fraction=1.0
         )
         # With full access and extrapolation, the MAX estimate should be
         # in the attribute's plausible vicinity.
@@ -100,16 +109,16 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[4]
         likes = graph.relations.id_of("likes")
-        lo = engine.aggregate_tails(user, likes, "min", "year", p_tau=0.1)
-        hi = engine.aggregate_tails(user, likes, "max", "year", p_tau=0.1)
+        lo = _estimate(engine, user, likes, "min", "year", p_tau=0.1)
+        hi = _estimate(engine, user, likes, "max", "year", p_tau=0.1)
         assert lo.value <= hi.value
 
     def test_max_access_caps_accesses(self, engine, dataset):
         graph, world = dataset
         user = world.members("user")[5]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(
-            user, likes, "avg", "year", p_tau=0.1, max_access=7
+        estimate = _estimate(
+            engine, user, likes, "avg", "year", p_tau=0.1, max_access=7
         )
         assert estimate.accessed <= 7
 
@@ -117,8 +126,8 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(
-            user, likes, "sum", "year", p_tau=0.2, access_fraction=0.5
+        estimate = _estimate(
+            engine, user, likes, "sum", "year", p_tau=0.2, access_fraction=0.5
         )
         assert estimate.tail_bound(0.5) <= estimate.tail_bound(0.1)
 
@@ -127,15 +136,15 @@ class TestEstimates:
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
         with pytest.raises(QueryError):
-            engine.aggregate_tails(user, likes, "median", "year")
+            _estimate(engine, user, likes, "median", "year")
 
     def test_bad_access_fraction_rejected(self, engine, dataset):
         graph, world = dataset
         user = world.members("user")[0]
         likes = graph.relations.id_of("likes")
         with pytest.raises(QueryError):
-            engine.aggregate_tails(
-                user, likes, "count", p_tau=0.2, access_fraction=0.0
+            _estimate(
+                engine, user, likes, "count", p_tau=0.2, access_fraction=0.0
             )
 
     def test_attribute_filtering_excludes_users(self, engine, dataset):
@@ -144,6 +153,6 @@ class TestEstimates:
         graph, world = dataset
         user = world.members("user")[1]
         likes = graph.relations.id_of("likes")
-        estimate = engine.aggregate_tails(user, likes, "avg", "year", p_tau=0.05)
+        estimate = _estimate(engine, user, likes, "avg", "year", p_tau=0.05)
         years = {graph.attributes.get("year", m) for m in world.members("movie")}
         assert all(v in years for v in estimate.accessed_values)

@@ -24,10 +24,10 @@ def test_batch_results_in_input_order(engine, queries):
     report = run_batch(engine, queries, k=5)
     assert len(report.results) == len(queries)
     for query, result in zip(queries, report.results):
-        if query.direction == "tail":
-            expected = engine.topk_tails(query.entity, query.relation, 5)
-        else:
-            expected = engine.topk_heads(query.entity, query.relation, 5)
+        spec = QuerySpec(
+            entity=query.entity, relation=query.relation, direction=query.direction, k=5
+        )
+        expected = engine.execute(spec).topk
         assert result.entities == expected.entities
 
 

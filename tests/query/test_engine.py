@@ -6,6 +6,7 @@ import pytest
 from repro.embedding.transh import TransH
 from repro.errors import QueryError
 from repro.query.engine import EngineConfig, QueryEngine
+from repro.query.spec import QuerySpec
 
 
 def test_from_graph_index_variants(dataset, model):
@@ -37,7 +38,7 @@ def test_topk_tails_excludes_known_edges(engine, dataset):
     likes = graph.relations.id_of("likes")
     user = world.members("user")[0]
     known = graph.tails(user, likes)
-    result = engine.topk_tails(user, likes, 10)
+    result = engine.execute(QuerySpec(entity=user, relation=likes, k=10)).topk
     assert not set(result.entities) & set(known)
     assert user not in result.entities
 
@@ -47,7 +48,7 @@ def test_topk_heads_excludes_known_edges(engine, dataset):
     likes = graph.relations.id_of("likes")
     movie = world.members("movie")[0]
     known = graph.heads(movie, likes)
-    result = engine.topk_heads(movie, likes, 10)
+    result = engine.execute(QuerySpec(entity=movie, relation=likes, direction="head", k=10)).topk
     assert not set(result.entities) & set(known)
     assert movie not in result.entities
 
@@ -58,7 +59,7 @@ def test_index_matches_exhaustive_ground_truth(engine, dataset):
     agreements = []
     for user in world.members("user")[:10]:
         truth = {e for e, _ in engine.exhaustive_topk_tails(user, likes, 5)}
-        got = set(engine.topk_tails(user, likes, 5).entities)
+        got = set(engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk.entities)
         agreements.append(len(truth & got) / 5)
     assert np.mean(agreements) >= 0.9
 
@@ -69,7 +70,9 @@ def test_heads_direction_matches_exhaustive(engine, dataset):
     agreements = []
     for movie in world.members("movie")[:10]:
         truth = {e for e, _ in engine.exhaustive_topk_heads(movie, likes, 5)}
-        got = set(engine.topk_heads(movie, likes, 5).entities)
+        got = set(engine.execute(
+            QuerySpec(entity=movie, relation=likes, direction="head", k=5)
+        ).topk.entities)
         agreements.append(len(truth & got) / 5)
     assert np.mean(agreements) >= 0.9
 
@@ -77,7 +80,7 @@ def test_heads_direction_matches_exhaustive(engine, dataset):
 def test_probabilities_anchored_and_decreasing(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
-    result = engine.topk_tails(world.members("user")[0], likes, 5)
+    result = engine.execute(QuerySpec(entity=world.members("user")[0], relation=likes, k=5)).topk
     probs = engine.probabilities(result)
     assert probs[0] == 1.0
     assert list(probs) == sorted(probs, reverse=True)
@@ -90,7 +93,7 @@ def test_repeated_queries_reuse_index(engine, dataset):
     graph, world = dataset
     likes = graph.relations.id_of("likes")
     user = world.members("user")[0]
-    engine.topk_tails(user, likes, 5)
+    engine.execute(QuerySpec(entity=user, relation=likes, k=5))
     splits_after_first = engine.index.splits_performed
-    engine.topk_tails(user, likes, 5)
+    engine.execute(QuerySpec(entity=user, relation=likes, k=5))
     assert engine.index.splits_performed == splits_after_first

@@ -6,6 +6,7 @@ from repro import EngineConfig, TrainConfig
 from repro.embedding.transe import TransE
 from repro.kg.generators import movielens_like
 from repro.query.engine import QueryEngine
+from repro.query.spec import QuerySpec
 
 
 def test_from_graph_trains_when_no_model_given():
@@ -22,7 +23,7 @@ def test_from_graph_trains_when_no_model_given():
     assert engine.model.dim == 12
     likes = graph.relations.id_of("likes")
     user = graph.entities.id_of("user:0")
-    result = engine.topk_tails(user, likes, 3)
+    result = engine.execute(QuerySpec(entity=user, relation=likes, k=3)).topk
     assert len(result) == 3
 
 

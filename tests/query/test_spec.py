@@ -70,48 +70,3 @@ class TestExecute:
 
         with pytest.raises(ReproError, match="out of range"):
             engine.execute(QuerySpec(entity=10**6, relation=0, k=3))
-
-
-class TestDeprecatedWrappers:
-    """The legacy per-family methods still answer (identically) but warn."""
-
-    def test_topk_wrappers_match_execute(self, engine, dataset):
-        graph, world = dataset
-        user = world.members("user")[0]
-        movie = world.members("movie")[0]
-        likes = graph.relations.id_of("likes")
-
-        want = engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk
-        with pytest.warns(DeprecationWarning, match="topk_tails"):
-            got = engine.topk_tails(user, likes, 5)
-        assert got.entities == want.entities
-        assert got.distances == want.distances
-
-        want = engine.execute(
-            QuerySpec(entity=movie, relation=likes, direction="head", k=4)
-        ).topk
-        with pytest.warns(DeprecationWarning, match="topk_heads"):
-            got = engine.topk_heads(movie, likes, 4)
-        assert got.entities == want.entities
-
-    def test_aggregate_wrappers_match_execute(self, engine, dataset):
-        graph, world = dataset
-        user = world.members("user")[1]
-        likes = graph.relations.id_of("likes")
-        want = engine.execute(
-            QuerySpec(
-                entity=user, relation=likes, mode="aggregate", agg="avg",
-                attribute="year", p_tau=0.1,
-            )
-        ).aggregate
-        with pytest.warns(DeprecationWarning, match="aggregate_tails"):
-            got = engine.aggregate_tails(user, likes, "avg", "year", p_tau=0.1)
-        assert got.value == want.value
-        assert got.ball_size == want.ball_size
-
-    def test_execute_itself_does_not_warn(self, engine, dataset, recwarn):
-        graph, world = dataset
-        user = world.members("user")[0]
-        likes = graph.relations.id_of("likes")
-        engine.execute(QuerySpec(entity=user, relation=likes, k=3))
-        assert not [w for w in recwarn if issubclass(w.category, DeprecationWarning)]

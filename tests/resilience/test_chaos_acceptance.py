@@ -11,6 +11,7 @@ never cost answers.
 
 from repro.bench.resilience import default_schedule
 from repro.bench.workloads import make_workload
+from repro.query.spec import QuerySpec
 from repro.resilience.chaos import activate
 from repro.resilience.retry import RetryPolicy
 from repro.service.replay import replay
@@ -20,10 +21,10 @@ from repro.service.server import QueryService
 def _sequential_baseline(engine, workload, k):
     expected = []
     for query in workload:
-        if query.direction == "tail":
-            result = engine.topk_tails(query.entity, query.relation, k)
-        else:
-            result = engine.topk_heads(query.entity, query.relation, k)
+        spec = QuerySpec(
+            entity=query.entity, relation=query.relation, direction=query.direction, k=k
+        )
+        result = engine.execute(spec).topk
         expected.append(result)
     return expected
 

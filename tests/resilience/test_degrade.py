@@ -13,6 +13,7 @@ from repro.errors import IndexError_, QueryError
 from repro.index.bulkload import BulkLoadedRTree
 from repro.index.cracking import CrackingRTree
 from repro.index.linear import ExhaustiveScan
+from repro.query.spec import QuerySpec
 from repro.resilience.chaos import ChaosController, activate
 from repro.resilience.degrade import DegradationLadder, validate_engine
 from repro.service.metrics import ServingMetrics
@@ -23,6 +24,10 @@ def _corrupt(index):
     frontier no longer partitions (or permutes) the point store."""
     partition = index.root.partition
     partition.orders = [order[1:] for order in partition.orders]
+
+
+def _top5(user, likes, **fields):
+    return QuerySpec(entity=user, relation=likes, k=5, **fields)
 
 
 @pytest.fixture
@@ -53,8 +58,8 @@ def test_injected_index_failure_degrades_to_bulk_with_identical_answers(
     controller.on("engine.topk", exc=IndexError_, message="forced", max_fires=1)
     with activate(controller):
         for user in users:
-            result, _ = ladder.explain_topk(engine, user, likes, 5, "tail")
-            want = baseline.topk_tails(user, likes, 5)
+            result, _ = ladder.run_topk(engine, _top5(user, likes))
+            want = baseline.execute(_top5(user, likes)).topk
             assert result.entities == want.entities
             assert result.distances == want.distances
 
@@ -79,15 +84,15 @@ def test_second_failure_reaches_linear_scan_with_identical_answers(
     controller.on("engine.topk", exc=IndexError_, max_fires=2)
     with activate(controller):
         for user in users:
-            result, explain = ladder.explain_topk(engine, user, likes, 5, "tail")
-            want = baseline.topk_tails(user, likes, 5)
+            result, explain = ladder.run_topk(engine, _top5(user, likes))
+            want = baseline.execute(_top5(user, likes)).topk
             assert result.entities == want.entities
             assert result.distances == pytest.approx(want.distances)
 
     assert ladder.level_of(engine) == 2
     assert ladder.levels()[0]["mode"] == "linear"
     # The linear rung reports a full scan and no query region.
-    result, explain = ladder.explain_topk(engine, users[0], likes, 5, "tail")
+    result, explain = ladder.run_topk(engine, _top5(users[0], likes))
     assert explain is None
     assert result.points_examined == engine.graph.num_entities
     assert result.query_region is None
@@ -102,9 +107,28 @@ def test_typed_queries_survive_linear_rung(make_engine, probes):
     controller.on("engine.topk", exc=IndexError_, max_fires=2)
     with activate(controller):
         for user in users[:6]:
-            result = ladder.topk_typed(engine, user, likes, 5, "tail", "movie")
-            want = baseline.topk_tails(user, likes, 5, "movie")
+            spec = _top5(user, likes, entity_type="movie")
+            result, _ = ladder.run_topk(engine, spec)
+            want = baseline.execute(spec).topk
             assert result.entities == want.entities
+
+
+@pytest.mark.parametrize("failures", [0, 1, 2])
+def test_unknown_type_is_a_query_error_on_every_rung(make_engine, probes, failures):
+    """Native, bulk and linear rungs all reject an unknown entity type
+    (HTTP 400) instead of answering it, and none of them degrades."""
+    likes, users = probes
+    engine = make_engine()
+    ladder = DegradationLadder()
+    controller = ChaosController(seed=0)
+    controller.on("engine.topk", exc=IndexError_, max_fires=failures)
+    with activate(controller):
+        for user in users[:failures]:
+            ladder.run_topk(engine, _top5(user, likes))
+    assert ladder.level_of(engine) == failures
+    with pytest.raises(QueryError, match="robot"):
+        ladder.run_topk(engine, _top5(users[0], likes, entity_type="robot"))
+    assert ladder.level_of(engine) == failures
 
 
 def test_rebuild_restores_native_variant_after_quarantine(make_engine, probes):
@@ -116,13 +140,13 @@ def test_rebuild_restores_native_variant_after_quarantine(make_engine, probes):
     controller = ChaosController(seed=0)
     controller.on("engine.topk", exc=IndexError_, max_fires=1)
     with activate(controller):
-        ladder.explain_topk(engine, users[0], likes, 5, "tail")
+        ladder.run_topk(engine, _top5(users[0], likes))
     assert ladder.level_of(engine) == 1
 
     # After rebuild_after clean queries the native index comes back.
     for user in users:
-        result, _ = ladder.explain_topk(engine, user, likes, 5, "tail")
-        assert result.entities == baseline.topk_tails(user, likes, 5).entities
+        result, _ = ladder.run_topk(engine, _top5(user, likes))
+        assert result.entities == baseline.execute(_top5(user, likes)).topk.entities
     assert ladder.level_of(engine) == 0
     assert isinstance(engine.index, CrackingRTree)
     assert metrics.snapshot()["counters"]["index_rebuilds"] == 1
@@ -131,7 +155,7 @@ def test_rebuild_restores_native_variant_after_quarantine(make_engine, probes):
 def test_query_errors_propagate_without_degrading(engine):
     ladder = DegradationLadder()
     with pytest.raises(QueryError):
-        ladder.explain_topk(engine, 0, 0, 5, "sideways")
+        ladder.run_topk(engine, QuerySpec(entity=0, relation=0, k=5, entity_type="robot"))
     assert ladder.level_of(engine) == 0
 
 
@@ -142,9 +166,10 @@ def test_aggregates_degrade_transparently(make_engine, probes):
     ladder = DegradationLadder()
     controller = ChaosController(seed=0)
     controller.on("engine.aggregate", exc=IndexError_, max_fires=1)
+    spec = QuerySpec(entity=users[0], relation=likes, mode="aggregate", agg="count")
     with activate(controller):
-        got = ladder.aggregate(engine, users[0], likes, "count", None, "tail")
-    want = baseline.aggregate_tails(users[0], likes, "count", None)
+        got = ladder.run_aggregate(engine, spec)
+    want = baseline.execute(spec).aggregate
     assert got.value == pytest.approx(want.value)
     assert ladder.level_of(engine) == 1
 
@@ -175,9 +200,11 @@ def test_linear_rung_equals_exhaustive_scan(engine, dataset, typed):
         direction = "tail" if rng.random() < 0.5 else "head"
         k = int(rng.choice([1, 5, 10, 20]))
         entity_type = str(rng.choice(["movie", "user"])) if typed else None
-        result = DegradationLadder._linear_topk(
-            engine, entity, relation, k, direction, entity_type
+        spec = QuerySpec(
+            entity=entity, relation=relation, direction=direction, k=k,
+            entity_type=entity_type,
         )
+        result = DegradationLadder._linear_topk(engine, spec)
         if direction == "tail":
             point = engine.model.tail_query_point(entity, relation)
             banned = graph.tails(entity, relation) | {entity}

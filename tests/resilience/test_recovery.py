@@ -15,6 +15,7 @@ import pytest
 from repro.dynamic.updater import OnlineUpdater
 from repro.errors import RecoveryError
 from repro.persistence import save_engine
+from repro.query.spec import QuerySpec
 from repro.resilience.recovery import recover_engine
 from repro.resilience.wal import WAL_FILENAME, DurableUpdater, WriteAheadLog
 
@@ -55,7 +56,9 @@ def test_recover_restores_bitidentical_state_after_crash(
     expected_matrix = np.array(engine.model.entity_vectors())
     expected_relations = np.array(engine.model.relation_vectors())
     probes = [engine.graph.entities.id_of(f"user:{i}") for i in range(6)]
-    expected_answers = [engine.topk_tails(u, likes, 5).entities for u in probes]
+    expected_answers = [engine.execute(
+        QuerySpec(entity=u, relation=likes, k=5)
+    ).topk.entities for u in probes]
     num_entities = engine.graph.num_entities
 
     # kill -9: the live engine is gone; only the files survive.
@@ -68,7 +71,7 @@ def test_recover_restores_bitidentical_state_after_crash(
     assert np.array_equal(recovered.model.entity_vectors(), expected_matrix)
     assert np.array_equal(recovered.model.relation_vectors(), expected_relations)
     for probe, want in zip(probes, expected_answers):
-        assert recovered.topk_tails(probe, likes, 5).entities == want
+        assert recovered.execute(QuerySpec(entity=probe, relation=likes, k=5)).topk.entities == want
 
 
 def test_recover_after_checkpoint_skips_snapshotted_records(
@@ -201,8 +204,6 @@ def test_recover_with_shards_routes_replay_through_the_router(
     """``recover_engine(shards=N)`` re-shards *before* WAL replay, so
     replayed inserts land in the owning shard's tree; the recovered
     sharded engine answers exactly like a plainly recovered one."""
-    from repro.query.spec import QuerySpec
-
     artifact = tmp_path / "artifact"
     engine = make_trainable_engine()
     durable = _durable(engine, artifact)

@@ -9,6 +9,7 @@ stale top-k is ever served afterwards.
 
 from repro.bench.workloads import make_workload
 from repro.dynamic.updater import OnlineUpdater
+from repro.query.spec import QuerySpec
 from repro.service.replay import replay
 from repro.service.server import QueryService
 
@@ -16,10 +17,10 @@ from repro.service.server import QueryService
 def _sequential_baseline(engine, workload, k):
     expected = []
     for query in workload:
-        if query.direction == "tail":
-            result = engine.topk_tails(query.entity, query.relation, k)
-        else:
-            result = engine.topk_heads(query.entity, query.relation, k)
+        spec = QuerySpec(
+            entity=query.entity, relation=query.relation, direction=query.direction, k=k
+        )
+        result = engine.execute(spec).topk
         expected.append(result.entities)
     return expected
 
@@ -75,8 +76,9 @@ def test_midreplay_update_evicts_affected_entries(make_engine, dataset):
         service.attach_updater(updater)
 
         replay(service, workload, k=5, threads=4)
-        service.topk(user, likes, k=5)  # warm, in case the replay missed it
-        stale = service.topk_detail(user, likes, k=5)
+        spec = QuerySpec(entity=user, relation=likes, k=5)
+        service.execute(spec)  # warm, in case the replay missed it
+        stale = service.execute(spec)
         assert stale.cached
         top_tail = stale.result.entities[0]
 
@@ -98,5 +100,5 @@ def test_midreplay_update_evicts_affected_entries(make_engine, dataset):
         # same update.
         baseline = make_engine()
         OnlineUpdater(baseline).add_edge(user, likes, top_tail)
-        expected = baseline.topk_tails(user, likes, 5)
-        assert service.topk(user, likes, k=5).entities == expected.entities
+        expected = baseline.execute(spec).topk
+        assert service.execute(spec).result.entities == expected.entities

@@ -45,18 +45,19 @@ def test_topk_by_name_and_cached_flag(http_service, dataset):
     base, service = http_service
     graph, world = dataset
     user = graph.entities.name_of(world.members("user")[0])
-    url = f"{base}/topk?entity={user}&relation=likes&k=5"
+    url = f"{base}/v1/query?entity={user}&relation=likes&k=5"
     status, first = _get_json(url)
     assert status == 200
-    assert len(first["entities"]) == 5
-    assert len(first["names"]) == 5
-    assert first["distances"] == sorted(first["distances"])
-    assert first["cached"] is False
+    result = first["result"]
+    assert len(result["entities"]) == 5
+    assert len(result["names"]) == 5
+    assert result["distances"] == sorted(result["distances"])
+    assert first["meta"]["cached"] is False
     status, second = _get_json(url)
-    assert second["cached"] is True
-    assert second["entities"] == first["entities"]
+    assert second["meta"]["cached"] is True
+    assert second["result"]["entities"] == result["entities"]
     # Probabilities decrease with distance and top-1 has probability 1.
-    assert second["probabilities"][0] == pytest.approx(1.0)
+    assert second["result"]["probabilities"][0] == pytest.approx(1.0)
 
 
 def test_topk_by_numeric_id(http_service, dataset):
@@ -64,9 +65,9 @@ def test_topk_by_numeric_id(http_service, dataset):
     graph, world = dataset
     user = world.members("user")[0]
     likes = graph.relations.id_of("likes")
-    status, payload = _get_json(f"{base}/topk?entity={user}&relation={likes}&k=3")
+    status, payload = _get_json(f"{base}/v1/query?entity={user}&relation={likes}&k=3")
     assert status == 200
-    assert len(payload["entities"]) == 3
+    assert len(payload["result"]["entities"]) == 3
 
 
 def test_aggregate_endpoint(http_service, dataset):
@@ -74,18 +75,20 @@ def test_aggregate_endpoint(http_service, dataset):
     graph, world = dataset
     user = graph.entities.name_of(world.members("user")[0])
     status, payload = _get_json(
-        f"{base}/aggregate?entity={user}&relation=likes&kind=count&p_tau=0.25"
+        f"{base}/v1/query?entity={user}&relation=likes&kind=count&p_tau=0.25"
     )
     assert status == 200
-    assert payload["kind"] == "count"
-    assert payload["ball_size"] >= payload["accessed"] >= 0
+    assert payload["meta"]["mode"] == "aggregate"
+    result = payload["result"]
+    assert result["kind"] == "count"
+    assert result["ball_size"] >= result["accessed"] >= 0
 
 
 def test_metrics_text_and_json(http_service, dataset):
     base, _ = http_service
     graph, world = dataset
     user = graph.entities.name_of(world.members("user")[0])
-    _get_json(f"{base}/topk?entity={user}&relation=likes&k=4")
+    _get_json(f"{base}/v1/query?entity={user}&relation=likes&k=4")
     status, body, headers = _get(f"{base}/metrics")
     assert status == 200
     assert headers["Content-Type"].startswith("text/plain")
@@ -98,20 +101,21 @@ def test_metrics_text_and_json(http_service, dataset):
 def test_missing_params_is_400(http_service):
     base, _ = http_service
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        _get(f"{base}/topk?relation=likes")
+        _get(f"{base}/v1/query?relation=likes")
     assert excinfo.value.code == 400
-    assert json.loads(excinfo.value.read())["error"] == "ValueError"
+    assert json.loads(excinfo.value.read())["error"]["code"] == "bad_request"
 
 
 def test_unknown_entity_is_400(http_service):
     base, _ = http_service
     with pytest.raises(urllib.error.HTTPError) as excinfo:
-        _get(f"{base}/topk?entity=zzz-nope&relation=likes")
+        _get(f"{base}/v1/query?entity=zzz-nope&relation=likes")
     assert excinfo.value.code == 400
 
 
 def test_unknown_path_is_404(http_service):
     base, _ = http_service
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        _get(f"{base}/nope")
-    assert excinfo.value.code == 404
+    for path in ("/nope", "/topk?entity=0&relation=0", "/aggregate?entity=0&relation=0"):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _get(f"{base}{path}")
+        assert excinfo.value.code == 404

@@ -1,11 +1,8 @@
-"""Tests for the ``/v1/query`` API generation.
+"""Tests for the ``/v1/query`` API.
 
 The contract under test: one POST (or GET) endpoint takes a QuerySpec-
-shaped request, responds with a ``{result, meta, error}`` envelope whose
-``result`` is byte-for-byte the legacy endpoint's payload (minus the
-legacy provenance fields), errors carry stable machine-readable codes,
-and the legacy endpoints keep answering — marked with a ``Deprecation``
-header.
+shaped request, responds with a ``{result, meta, error}`` envelope, and
+errors carry stable machine-readable codes.
 """
 
 import json
@@ -119,37 +116,6 @@ class TestEnvelope:
 
 
 class TestLegacyParity:
-    def test_topk_byte_parity_with_legacy(self, http_service, dataset):
-        base, _ = http_service
-        graph, world = dataset
-        user = graph.entities.name_of(world.members("user")[3])
-        _, v1, _ = _post(
-            f"{base}/v1/query", {"entity": user, "relation": "likes", "k": 6}
-        )
-        status, legacy, headers = _get(
-            f"{base}/topk?entity={user}&relation=likes&k=6"
-        )
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        legacy.pop("cached")
-        legacy.pop("elapsed_seconds")
-        assert _canonical(legacy) == _canonical(v1["result"])
-
-    def test_aggregate_byte_parity_with_legacy(self, http_service, dataset):
-        base, _ = http_service
-        graph, world = dataset
-        user = graph.entities.name_of(world.members("user")[4])
-        _, v1, _ = _post(
-            f"{base}/v1/query",
-            {"entity": user, "relation": "likes", "agg": "count", "p_tau": 0.2},
-        )
-        status, legacy, headers = _get(
-            f"{base}/aggregate?entity={user}&relation=likes&kind=count&p_tau=0.2"
-        )
-        assert status == 200
-        assert headers.get("Deprecation") == "true"
-        assert _canonical(legacy) == _canonical(v1["result"])
-
     def test_legacy_kind_parameter_still_selects_aggregate(
         self, http_service, dataset
     ):
@@ -162,15 +128,6 @@ class TestLegacyParity:
         )
         assert status == 200
         assert payload["meta"]["mode"] == "aggregate"
-
-    def test_v1_endpoint_is_not_marked_deprecated(self, http_service, dataset):
-        base, _ = http_service
-        graph, world = dataset
-        user = graph.entities.name_of(world.members("user")[0])
-        _, _, headers = _post(
-            f"{base}/v1/query", {"entity": user, "relation": "likes"}
-        )
-        assert "Deprecation" not in headers
 
 
 class TestErrorCodes:

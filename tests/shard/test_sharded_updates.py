@@ -56,7 +56,7 @@ def test_fresh_indexes_support_the_bulk_fallback(dataset, make_sharded):
     spec = _probe_spec(dataset)
     sharded = make_sharded(shards=4)
     want = sharded.execute(spec).topk
-    trees = sharded.fresh_indexes(BulkLoadedRTree)
+    trees = sharded.fresh_indexes("bulk")
     assert len(trees) == sharded.num_shards
     sharded.install_indexes(trees)
     assert all(isinstance(e.index, BulkLoadedRTree) for e in sharded._shard_engines)
