@@ -62,6 +62,7 @@ def save_attributes(graph: KnowledgeGraph, path: str | os.PathLike[str]) -> int:
 def load_attributes(graph: KnowledgeGraph, path: str | os.PathLike[str]) -> int:
     """Read an attribute TSV into ``graph.attributes``; returns rows read."""
     count = 0
+    columns: dict[str, dict[int, float]] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -76,6 +77,8 @@ def load_attributes(graph: KnowledgeGraph, path: str | os.PathLike[str]) -> int:
                 value = float(raw_value)
             except ValueError:
                 raise GraphError(f"{path}:{lineno}: bad numeric value {raw_value!r}") from None
-            graph.attributes.set(attribute, entity, value)
+            columns.setdefault(attribute, {})[entity] = value
             count += 1
+    for attribute, values in columns.items():
+        graph.attributes.set_many(attribute, values)
     return count

@@ -33,7 +33,7 @@ import numpy as np
 from repro.embedding.pretrained import PretrainedEmbedding
 from repro.errors import ReproError
 from repro.index.store import PointStore
-from repro.index.variants import build_index, variant_name
+from repro.index.variants import build_index
 from repro.kg.graph import KnowledgeGraph
 from repro.kg.io import load_attributes, load_triples, save_attributes, save_triples
 from repro.query.engine import QueryEngine
@@ -105,7 +105,7 @@ def _write_artifacts(engine: QueryEngine, path: Path, extra_meta: dict | None) -
         "graph_name": graph.name,
         "alpha": engine.transform.alpha,
         "epsilon": engine.epsilon,
-        "index": variant_name(engine.index),
+        "index": engine.variant,
         "leaf_capacity": engine.index.leaf_capacity,
         "fanout": engine.index.fanout,
         "beta": engine.index.beta,

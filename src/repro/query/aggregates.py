@@ -136,9 +136,8 @@ class AggregateProcessor:
             query_point_s1, p_tau, exclude, refine_index
         )
         if attribute is not None:
-            keep = np.array(
-                [self.attributes.has(attribute, int(e)) for e in ball_ids]
-            )
+            column, present = self.attributes.dense(attribute, len(self.s1_vectors))
+            keep = present[ball_ids]
             ball_ids, distances = ball_ids[keep], distances[keep]
         if len(ball_ids) == 0:
             return AggregateEstimate(kind, 0.0, 0, 0, p_tau, (), 0.0)
@@ -152,31 +151,19 @@ class AggregateProcessor:
             a = min(a, max_access)
         a = max(1, min(a, b))
 
-        accessed_ids = ball_ids[:a]
         accessed_probs = model.probabilities(distances[:a])
         unaccessed_probs = self._estimate_unaccessed_probabilities(
             ball_ids[a:], self.transform(query_point_s1), model
         )
-        if kind == "count":
-            values = np.ones(a)
-            v_m = 1.0
-        else:
-            values = np.array(
-                [self.attributes.get(attribute, int(e)) for e in accessed_ids]
-            )
-            v_m = float(np.abs(values).max()) if a else 0.0
-
-        value = self._combine(
-            kind, values, accessed_probs, unaccessed_probs
-        )
+        values = np.ones(a) if kind == "count" else column[ball_ids[:a]]
         return AggregateEstimate(
             kind=kind,
-            value=value,
+            value=self._combine(kind, values, accessed_probs, unaccessed_probs),
             accessed=a,
             ball_size=b,
             p_tau=p_tau,
-            accessed_values=tuple(float(v) for v in values),
-            max_unaccessed_bound=v_m,
+            accessed_values=tuple(values.tolist()),
+            max_unaccessed_bound=float(np.abs(values).max()),
         )
 
     # -- pieces ---------------------------------------------------------------
@@ -225,26 +212,24 @@ class AggregateProcessor:
         """Coarse probabilities for the b-a unaccessed entities from the
         index contour: each contour element contributes its MBR-center
         distance to the query as the distance estimate for all its
-        members (no record access needed)."""
+        members (no record access needed). One contour walk scatters the
+        element probabilities over a per-id array, then one gather reads
+        the unaccessed ids; an id no element covers reads probability 1."""
         if len(unaccessed_ids) == 0:
             return np.empty(0)
-        estimates = np.empty(len(unaccessed_ids))
-        position = {int(e): i for i, e in enumerate(unaccessed_ids)}
-        remaining = set(position)
-        for element in self.index.contour():
-            if not remaining:
-                break
-            mbr = element.mbr
-            center = (mbr.lower + mbr.upper) / 2.0
-            center_dist = float(np.linalg.norm(center - q2))
-            member_ids = self._element_ids(element)
-            for entity in map(int, member_ids):
-                if entity in remaining:
-                    estimates[position[entity]] = model.probability(center_dist)
-                    remaining.discard(entity)
-        for entity in remaining:  # pragma: no cover - contour covers all points
-            estimates[position[entity]] = model.probability(model.min_distance)
-        return estimates
+        elements = self.index.contour()
+        members = [self._element_ids(element) for element in elements]
+        lower = np.concatenate([element.mbr.lower for element in elements])
+        upper = np.concatenate([element.mbr.upper for element in elements])
+        centers = ((lower + upper) / 2.0).reshape(len(elements), -1)
+        center_dists = np.linalg.norm(centers - q2, axis=1)
+        member_ids = np.concatenate(members)
+        size = 1 + max(int(member_ids.max()), int(unaccessed_ids.max()))
+        by_id = np.ones(size)
+        by_id[member_ids] = np.repeat(
+            model.probabilities(center_dists), [len(ids) for ids in members]
+        )
+        return by_id[unaccessed_ids]
 
     @staticmethod
     def _element_ids(element) -> np.ndarray:
@@ -281,14 +266,11 @@ def _expected_max(values: np.ndarray, probs: np.ndarray) -> float:
     order = np.argsort(values)[::-1]
     u = values[order]
     p = probs[order]
-    survival = 1.0
-    expected_sample_max = 0.0
-    for value, prob in zip(u, p):
-        expected_sample_max += value * survival * prob
-        survival *= 1.0 - prob
-    # Residual mass: if no entity "fires", fall back to the smallest value.
+    # survival[i] = prod_{j<i} (1 - p_j); its last entry is the residual
+    # mass where no entity "fires", which falls back to the smallest value.
+    survival = np.cumprod(np.concatenate(([1.0], 1.0 - p)))
     v_min = float(values.min())
-    expected_sample_max += v_min * survival
+    expected_sample_max = float((u * survival[:-1] * p).sum()) + v_min * survival[-1]
     effective_n = float(probs.sum())
     if effective_n <= 0.0:
         return v_min

@@ -21,7 +21,7 @@ from repro.errors import QueryError
 from repro.index.geometry import Rect, row_distances
 from repro.index.linear import ExhaustiveScan
 from repro.index.store import PointStore
-from repro.index.variants import build_index
+from repro.index.variants import build_index, variant_name
 from repro.kg.graph import KnowledgeGraph
 from repro.obs import trace
 from repro.query.aggregates import AggregateEstimate, AggregateProcessor
@@ -129,6 +129,11 @@ class QueryEngine:
         """
         self.index = index
         self._aggregates.index = index
+
+    @property
+    def variant(self) -> str:
+        """The :func:`~repro.index.variants.build_index` name of the index."""
+        return variant_name(self.index)
 
     def set_s1_vectors(self, matrix: np.ndarray) -> None:
         """Point the engine and its caches at a replaced S1 entity matrix

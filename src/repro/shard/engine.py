@@ -342,6 +342,11 @@ class ShardedEngine(QueryEngine):
                 # only structures the parent process can ever corrupt.
                 validate(self._shard_engines[shard])
 
+    @property
+    def variant(self) -> str:
+        """The shard trees' native variant (``index`` is the router)."""
+        return self._variant
+
     def fresh_indexes(self, variant: str | None = None) -> list:
         """Fresh per-shard trees over the current id sets (built off the
         lanes: construction reads only the shared store), of ``variant``

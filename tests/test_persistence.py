@@ -7,10 +7,12 @@ import pytest
 
 from repro.embedding.pretrained import PretrainedEmbedding
 from repro.errors import ReproError
+from repro.index.topk_splits import TopKSplitsRTree
 from repro.kg.generators import movielens_like
 from repro.persistence import load_engine, save_engine
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.spec import QuerySpec
+from repro.shard import ShardedEngine
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +184,19 @@ def test_load_rejects_torn_artifact_without_arrays(tmp_path, engine):
     (artifact / "arrays.npz").unlink()
     with pytest.raises(ReproError, match="torn"):
         load_engine(artifact)
+
+
+def test_sharded_engine_saves_its_shard_trees_variant(tmp_path, engine):
+    native = QueryEngine.from_graph(
+        engine.graph, EngineConfig(index="topk2", epsilon=0.5, alpha=3), model=engine.model
+    )
+    sharded = ShardedEngine.from_engine(native, shards=2, backend="thread")
+    try:
+        save_engine(sharded, tmp_path / "artifact")
+    finally:
+        sharded.close()
+    meta = json.loads((tmp_path / "artifact" / "meta.json").read_text())
+    assert meta["index"] == "topk2"
+    restored = load_engine(tmp_path / "artifact")
+    assert isinstance(restored.index, TopKSplitsRTree)
+    assert restored.index.num_choices == 2
