@@ -5,7 +5,7 @@ users rate new movies (edges added), retract ratings (edges removed),
 and a brand-new user joins. Each update triggers a handful of *local*
 SGD steps and a delete/re-project/insert cycle on the cracking index —
 no retraining, no index rebuild — and the script verifies after every
-step that the indexed answers still match the exhaustive scan.
+step that the indexed answers still match the exact scan.
 
 Run with:  python examples/dynamic_updates.py
 """
@@ -30,7 +30,7 @@ def top_likes(engine, user, likes, k):
 def check_consistency(engine, likes, users, k=5) -> float:
     precisions = []
     for user in users:
-        truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, k)]
+        truth = engine.exact_topk(QuerySpec(entity=user, relation=likes, k=k)).entities
         got = top_likes(engine, user, likes, k).entities
         precisions.append(precision_at_k(truth, got))
     return float(np.mean(precisions))

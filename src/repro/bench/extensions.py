@@ -84,18 +84,9 @@ def run_knn_vs_alg3(
         engine = method.engine
         durations, precisions, examined = [], [], []
         for query, truth in zip(workload, truths):
-            if query.direction == "tail":
-                q1 = engine.model.tail_query_point(query.entity, query.relation)
-                exclude = frozenset(
-                    set(engine.graph.tails(query.entity, query.relation))
-                    | {query.entity}
-                )
-            else:
-                q1 = engine.model.head_query_point(query.entity, query.relation)
-                exclude = frozenset(
-                    set(engine.graph.heads(query.entity, query.relation))
-                    | {query.entity}
-                )
+            q1, exclude, _ = engine.resolve(
+                QuerySpec(entity=query.entity, relation=query.relation, direction=query.direction)
+            )
             engine.index.counters.reset()
             start = time.perf_counter()
             result = knn_topk_s1(
@@ -234,8 +225,9 @@ def run_dynamic_updates(
     def precision() -> float:
         scores = []
         for user in probes:
-            truth = [e for e, _ in engine.exhaustive_topk_tails(user, likes, 5)]
-            got = engine.execute(QuerySpec(entity=user, relation=likes, k=5)).topk.entities
+            spec = QuerySpec(entity=user, relation=likes, k=5)
+            truth = engine.exact_topk(spec).entities
+            got = engine.execute(spec).topk.entities
             scores.append(precision_at_k(truth, got))
         return float(np.mean(scores))
 

@@ -66,21 +66,21 @@ class AggregateEstimate:
 
 
 class AggregateProcessor:
-    """Answers COUNT/SUM/AVG/MAX/MIN queries using a spatial index."""
+    """Answers COUNT/SUM/AVG/MAX/MIN queries using an engine's index.
 
-    def __init__(
-        self,
-        index,
-        s1_vectors: np.ndarray,
-        transform,
-        attributes,
-        epsilon: float = 0.5,
-    ) -> None:
-        self.index = index
-        self.s1_vectors = np.asarray(s1_vectors, dtype=np.float64)
-        self.transform = transform
-        self.attributes = attributes
-        self.epsilon = epsilon
+    The index, S1 matrix, transform, ε and attribute table are the
+    engine's, read on every access, so an index swap or a grown matrix
+    needs no bookkeeping here.
+    """
+
+    def __init__(self, engine) -> None:
+        self._engine = engine
+
+    index = property(lambda self: self._engine.index)
+    s1_vectors = property(lambda self: self._engine.s1_vectors)
+    transform = property(lambda self: self._engine.transform)
+    epsilon = property(lambda self: self._engine.epsilon)
+    attributes = property(lambda self: self._engine.graph.attributes)
 
     # -- public API -------------------------------------------------------
 
@@ -132,9 +132,7 @@ class AggregateProcessor:
         refine_index: bool,
     ) -> AggregateEstimate:
         query_point_s1 = np.asarray(query_point_s1, dtype=np.float64)
-        ball_ids, distances, region = self._ball(
-            query_point_s1, p_tau, exclude, refine_index
-        )
+        ball_ids, distances, _ = self._ball(query_point_s1, p_tau, exclude, refine_index)
         if attribute is not None:
             column, present = self.attributes.dense(attribute, len(self.s1_vectors))
             keep = present[ball_ids]
@@ -176,32 +174,34 @@ class AggregateProcessor:
         refine_index: bool,
     ):
         """Entities within the probability-``p_tau`` ball, with their S1
-        distances, plus the S2 search region used."""
+        distances and probabilities: the one p_τ ball (aggregates and
+        :meth:`~repro.query.engine.QueryEngine.predict_ball`)."""
+        index, vectors = self.index, self.s1_vectors
         q2 = self.transform(query_point_s1)
-        eligible = eligible_mask(len(self.s1_vectors), exclude)
+        eligible = eligible_mask(len(vectors), exclude)
         # Anchor d_min with a small probe.
-        seeds = self.index.probe(q2, 4)
+        seeds = index.probe(q2, 4)
         seeds = seeds[eligible[seeds]]
         if len(seeds) == 0:
-            seeds = self.index.probe(q2, 64)
+            seeds = index.probe(q2, 64)
             seeds = seeds[eligible[seeds]]
         if len(seeds) == 0:
             raise QueryError("no candidate entities found near the query point")
-        seed_dists = row_distances(self.s1_vectors, seeds, query_point_s1)
+        seed_dists = row_distances(vectors, seeds, query_point_s1)
         model = InverseDistanceProbability(float(seed_dists.min()))
         radius = model.ball_radius(p_tau) * (1.0 + self.epsilon)
         region = Rect.ball_box(q2, radius)
         if refine_index:
-            self.index.refine(region)
-        found = self.index.search(region)
+            index.refine(region)
+        found = index.search(region)
         ids = found[eligible[found]]
         if len(ids) == 0:
-            return ids, np.empty(0), region
-        dists = row_distances(self.s1_vectors, ids, query_point_s1)
+            return ids, np.empty(0), np.empty(0)
+        dists = row_distances(vectors, ids, query_point_s1)
         # Re-anchor on the true closest entity and cut at p_tau exactly.
-        model = InverseDistanceProbability(float(dists.min()))
-        in_ball = model.probabilities(dists) >= p_tau
-        return ids[in_ball], dists[in_ball], region
+        probs = InverseDistanceProbability(float(dists.min())).probabilities(dists)
+        in_ball = probs >= p_tau
+        return ids[in_ball], dists[in_ball], probs[in_ball]
 
     def _estimate_unaccessed_probabilities(
         self,

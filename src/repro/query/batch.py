@@ -124,14 +124,7 @@ def run_batch(engine, queries: list, k: int = 10) -> BatchReport:
     # because S2 is the space the index partitions). The projected key is
     # computed once per unique query, not once per comparison-and-again
     # at execution time.
-    def sort_key(spec: QuerySpec) -> float:
-        if spec.direction == "tail":
-            point = engine.model.tail_query_point(spec.entity, spec.relation)
-        else:
-            point = engine.model.head_query_point(spec.entity, spec.relation)
-        return float(engine.transform(point)[0])
-
-    projected = {spec: sort_key(spec) for spec in pending}
+    projected = {spec: float(engine.transform(engine.resolve(spec)[0])[0]) for spec in pending}
     ordered = sorted(pending, key=projected.__getitem__)
     points = 0
     for spec in ordered:

@@ -4,8 +4,8 @@ A :class:`QueryEngine` owns the trained embedding model, the JL
 transform, the S2 point store and one spatial index variant, and exposes
 the two query families of the paper — top-k entity queries and aggregate
 queries — in both directions (given head find tails, given tail find
-heads), plus the exhaustive no-index baseline used as accuracy ground
-truth.
+heads), plus the exact scan used as the last degradation rung and as
+accuracy ground truth.
 """
 
 from __future__ import annotations
@@ -18,16 +18,16 @@ import numpy as np
 from repro.embedding.base import EmbeddingModel
 from repro.embedding.trainer import TrainConfig, train_model
 from repro.errors import QueryError
-from repro.index.geometry import Rect, row_distances
-from repro.index.linear import ExhaustiveScan
+from repro.index.geometry import row_distances
 from repro.index.store import PointStore
-from repro.index.variants import build_index, variant_name
+from repro.index.validation import check_invariants
+from repro.index.variants import build_index, fresh_tree, variant_name
 from repro.kg.graph import KnowledgeGraph
 from repro.obs import trace
 from repro.query.aggregates import AggregateEstimate, AggregateProcessor
 from repro.query.probability import InverseDistanceProbability
 from repro.query.spec import QueryResult, QuerySpec
-from repro.query.topk import TopKResult, eligible_mask, find_topk
+from repro.query.topk import TopKResult, eligible_mask, find_topk, smallest_k
 from repro.transform.jl import JLTransform
 
 
@@ -93,7 +93,15 @@ class QueryExplain:
 
 
 class QueryEngine:
-    """Predictive query processing over one graph + model + index."""
+    """Predictive query processing over one graph + model + index.
+
+    Each query or index decision has one method here: :meth:`resolve`
+    maps a spec to its S1 query point, exclusion and allowed rows;
+    :meth:`execute` runs Algorithm 3 or an aggregate; :meth:`exact_topk`
+    is the exact scan; :meth:`validate` and :meth:`rebuild` check and
+    replace the tree. :class:`repro.shard.ShardedEngine` overrides only
+    what sharding changes, so no caller branches on the engine's kind.
+    """
 
     def __init__(
         self,
@@ -114,10 +122,8 @@ class QueryEngine:
         self.index = index
         self.epsilon = epsilon
         self.s1_vectors = model.entity_vectors()
-        self._scan = ExhaustiveScan(self.s1_vectors)
-        self._aggregates = AggregateProcessor(
-            index, self.s1_vectors, transform, graph.attributes, epsilon=epsilon
-        )
+        self._variant = variant_name(index)
+        self._aggregates = AggregateProcessor(self)
 
     # -- owned state: the index and the S1 matrix ---------------------------
 
@@ -128,19 +134,31 @@ class QueryEngine:
         or the shard's own lane).
         """
         self.index = index
-        self._aggregates.index = index
 
     @property
     def variant(self) -> str:
-        """The :func:`~repro.index.variants.build_index` name of the index."""
-        return variant_name(self.index)
+        """The engine's native :func:`~repro.index.variants.build_index`
+        variant: the one it was built with and :meth:`rebuild` restores,
+        whatever tree a degraded engine serves from meanwhile."""
+        return self._variant
 
     def set_s1_vectors(self, matrix: np.ndarray) -> None:
-        """Point the engine and its caches at a replaced S1 entity matrix
-        (the online updater grows it when an entity is appended)."""
+        """Point the engine at a replaced S1 entity matrix (the online
+        updater grows it when an entity is appended)."""
         self.s1_vectors = matrix
-        self._aggregates.s1_vectors = matrix
-        self._scan = ExhaustiveScan(matrix)
+
+    def validate(self) -> None:
+        """Check the tree's structural invariants; raises
+        :class:`~repro.errors.IndexError_` on any violation."""
+        check_invariants(self.index)
+
+    def rebuild(self, variant: str | None = None) -> str:
+        """Build, validate and install a fresh tree of ``variant`` (the
+        native one by default) over the point store; returns its name.
+        The caller must hold the engine exclusively."""
+        variant = variant or self._variant
+        self.swap_index(fresh_tree(variant, self.index))
+        return variant
 
     # -- construction -----------------------------------------------------
 
@@ -176,8 +194,15 @@ class QueryEngine:
             return QueryResult(spec=spec, topk=self._run_topk_spec(spec))
         return QueryResult(spec=spec, aggregate=self._run_aggregate_spec(spec))
 
-    def _topk_request(self, spec: QuerySpec):
-        """Derive (query point, exclude set, allowed rows) from a spec."""
+    def resolve(self, spec: QuerySpec):
+        """The spec's ``(S1 query point, excluded ids, allowed rows)``.
+
+        The point is ``h + r`` for a tail spec and ``t - r`` for a head
+        spec; the exclusion is the entity plus its known neighbours
+        under the relation; the allowed rows are the type's rows, or
+        ``None`` for an untyped spec. Raises
+        :class:`~repro.errors.QueryError` for an unknown type.
+        """
         if spec.direction == "tail":
             exclude = self.graph.tails(spec.entity, spec.relation) | {spec.entity}
             query_point = self.model.tail_query_point(spec.entity, spec.relation)
@@ -189,7 +214,7 @@ class QueryEngine:
     def _run_topk_spec(self, spec: QuerySpec) -> TopKResult:
         """Top-k execution hook; :class:`repro.shard.ShardedEngine`
         overrides this with the scatter-gather path."""
-        query_point, exclude, allowed = self._topk_request(spec)
+        query_point, exclude, allowed = self.resolve(spec)
         epsilon = self.epsilon if spec.epsilon is None else spec.epsilon
         return find_topk(
             self.index,
@@ -203,7 +228,7 @@ class QueryEngine:
         )
 
     def _run_aggregate_spec(self, spec: QuerySpec) -> AggregateEstimate:
-        query_point, exclude, _ = self._topk_request(spec)
+        query_point, exclude, _ = self.resolve(spec)
         return self._aggregates.estimate(
             query_point,
             spec.agg,
@@ -222,6 +247,28 @@ class QueryEngine:
             raise QueryError(f"no entities tagged with type {entity_type!r}")
         return rows
 
+    # -- the exact path ----------------------------------------------------------
+
+    def exact_topk(self, spec: QuerySpec) -> TopKResult:
+        """Exact top-k of a spec by one vectorised scan over the eligible
+        S1 rows (the type's rows minus the excluded ids), ties broken by
+        id: the degradation ladder's last rung and the ground truth
+        Algorithm 3's answers are measured against."""
+        query_point, exclude, allowed = self.resolve(spec)
+        vectors = self.s1_vectors
+        rows = np.flatnonzero(eligible_mask(len(vectors), exclude, allowed))
+        dists = row_distances(vectors, rows, np.asarray(query_point, dtype=np.float64))
+        ids, dists = smallest_k(rows, dists, spec.k)
+        return TopKResult(
+            entities=tuple(ids.tolist()),
+            distances=tuple(dists.tolist()),
+            points_examined=len(vectors),
+            final_radius=float(dists[-1]) * (1.0 + self.epsilon)
+            if len(ids)
+            else float("inf"),
+            query_region=None,
+        )
+
     # -- threshold (ball) queries -----------------------------------------------
 
     def predict_ball(
@@ -231,50 +278,15 @@ class QueryEngine:
 
         The relevant entities live in the ball of radius
         ``d_min / p_tau`` around ``h + r`` (Section V-B's probability
-        model); returns ``(entity, probability)`` sorted by decreasing
-        probability.
+        model), found exactly as the aggregates find theirs; returns
+        ``(entity, probability)`` sorted by decreasing probability.
         """
         if not 0.0 < p_tau <= 1.0:
             raise QueryError("p_tau must be in (0, 1]")
-        exclude = self.graph.tails(head, relation) | {head}
-        q1 = self.model.tail_query_point(head, relation)
-        seed = find_topk(
-            self.index, self.s1_vectors, self.transform, q1, 1,
-            exclude=exclude, epsilon=self.epsilon, refine_index=False,
-        )
-        if not seed.entities:
-            return []
-        prob_model = InverseDistanceProbability(seed.distances[0])
-        radius = prob_model.ball_radius(p_tau) * (1.0 + self.epsilon)
-        region = Rect.ball_box(self.transform(q1), radius)
-        self.index.refine(region)
-        found = self.index.search(region)
-        ids = found[eligible_mask(len(self.s1_vectors), exclude)[found]]
-        if len(ids) == 0:
-            return []
-        dists = row_distances(self.s1_vectors, ids, q1)
-        prob_model = InverseDistanceProbability(float(dists.min()))
-        probs = prob_model.probabilities(dists)
-        keep = probs >= p_tau
-        pairs = sorted(
-            zip(ids[keep].tolist(), probs[keep].tolist()),
-            key=lambda pair: (-pair[1], pair[0]),
-        )
+        query_point, exclude, _ = self.resolve(QuerySpec(entity=head, relation=relation))
+        ids, _, probs = self._aggregates._ball(query_point, p_tau, exclude, refine_index=True)
+        pairs = sorted(zip(ids.tolist(), probs.tolist()), key=lambda pair: (-pair[1], pair[0]))
         return [(int(e), float(p)) for e, p in pairs]
-
-    def exhaustive_topk_tails(self, head: int, relation: int, k: int):
-        """No-index ground truth for a tail-direction top-k spec."""
-        exclude = set(self.graph.tails(head, relation)) | {head}
-        return self._scan.topk(
-            self.model.tail_query_point(head, relation), k, frozenset(exclude)
-        )
-
-    def exhaustive_topk_heads(self, tail: int, relation: int, k: int):
-        """No-index ground truth for a head-direction top-k spec."""
-        exclude = set(self.graph.heads(tail, relation)) | {tail}
-        return self._scan.topk(
-            self.model.head_query_point(tail, relation), k, frozenset(exclude)
-        )
 
     # -- EXPLAIN -----------------------------------------------------------------
 

@@ -26,7 +26,7 @@ index must degrade — not fail. This package provides:
 
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.chaos import ChaosController, activate
-from repro.resilience.degrade import DegradationLadder, validate_engine
+from repro.resilience.degrade import DegradationLadder
 from repro.resilience.recovery import RecoveryReport, recover_engine
 from repro.resilience.retry import RetryPolicy
 from repro.resilience.wal import DurableUpdater, WriteAheadLog

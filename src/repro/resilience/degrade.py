@@ -1,18 +1,19 @@
 """The degradation ladder: cracking → bulk R-tree → linear scan.
 
-A broken index must never take the service down: Algorithm 3 re-ranks
-every candidate by its exact S1 distance and its initial region always
-covers the true top-k, so *any* correct spatial index — and the
-exhaustive scan — returns the same answer set. That makes index failure
-fully maskable: if the cracking tree raises mid-query or fails its
-structural invariants, the engine transparently drops one rung:
+A broken index must never take the service down. The point store is the
+ground truth and the tree is disposable workload state, so if the
+cracking tree raises mid-query or fails its structural invariants, the
+engine transparently drops one rung:
 
 - **level 0 (native)** — the engine's configured index (cracking by
   default);
 - **level 1 (bulk)** — a fresh bulk-loaded R-tree built from the point
-  store (the store is the ground truth; the tree is disposable workload
-  state);
-- **level 2 (linear)** — top-k by vectorised exhaustive scan over S1;
+  store. Its answers are ε-valid Algorithm 3 answers (Theorem 2), like
+  the native tree's, but not necessarily the same ones: Algorithm 3's
+  candidates depend on the tree it probes. They equal the native
+  answers when both find the exact top-k, as on the tests' fixtures;
+- **level 2 (linear)** — top-k by :meth:`QueryEngine.exact_topk
+  <repro.query.engine.QueryEngine.exact_topk>`, the exact scan over S1;
   aggregates rebuild a throwaway bulk tree per query.
 
 Every downgrade is recorded in :class:`~repro.service.metrics.ServingMetrics`
@@ -24,47 +25,26 @@ Rebuilding a cracking tree is nearly free (it *starts* unexpanded; the
 workload re-cracks it), which is the paper's disposability argument
 turned into a repair strategy.
 
-Sharded engines (:class:`repro.shard.ShardedEngine`) ride the same
-ladder: validation checks every shard tree against its live id set, the
-bulk rung installs one fresh bulk tree per shard (each swap runs on the
-shard's own serialized lane), and the native rebuild goes through
-``rebuild_native()``. The linear rung is shard-agnostic — it scans S1
-directly.
+The ladder only calls the engine's own ``validate()``, ``rebuild()``
+and ``exact_topk()``, so a sharded engine
+(:class:`repro.shard.ShardedEngine`, whose overrides act on every
+shard's live tree) rides it without the ladder knowing.
 """
 
 from __future__ import annotations
 
 import threading
 
-import numpy as np
-
 from repro.errors import IndexError_, ReproError
-from repro.index.geometry import row_distances
-from repro.index.validation import check_invariants
-from repro.index.variants import build_index, variant_name
 from repro.obs import trace
 from repro.obs.logging import get_logger
 from repro.query.spec import QuerySpec
-from repro.query.topk import TopKResult, eligible_mask, smallest_k
 from repro.resilience import chaos
 
 #: Human-readable rung names, indexed by level.
 LEVELS = ("native", "bulk", "linear")
 
 _log = get_logger("repro.resilience.degrade")
-
-
-def validate_engine(engine) -> None:
-    """Run the structural invariant checks on ``engine``'s index.
-
-    Raises :class:`~repro.errors.IndexError_` on any violation. Cheap
-    enough to run on every suspect engine before it re-enters rotation.
-    A sharded engine validates every shard tree against its live id set.
-    """
-    if getattr(engine, "is_sharded", False):
-        engine.check_shard_invariants()
-        return
-    check_invariants(engine.index)
 
 
 class _EngineState:
@@ -96,7 +76,6 @@ class DegradationLadder:
         self.auto_rebuild = auto_rebuild
         self._lock = threading.Lock()
         self._states: dict[int, _EngineState] = {}
-        self._specs: dict[int, str | None] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -106,12 +85,6 @@ class DegradationLadder:
             state = self._states.get(key)
             if state is None:
                 state = self._states[key] = _EngineState()
-                # A sharded engine rebuilds through its own hooks (its
-                # "index" is a router, not a constructible tree).
-                self._specs[key] = (
-                    None if getattr(engine, "is_sharded", False)
-                    else variant_name(engine.index)
-                )
             return state
 
     def level_of(self, engine) -> int:
@@ -159,7 +132,7 @@ class DegradationLadder:
                 except Exception as exc:
                     self._handle(engine, state, exc)
         state.queries_since_downgrade += 1
-        return self._linear_topk(engine, spec), None
+        return engine.exact_topk(spec), None
 
     def run_aggregate(self, engine, spec: QuerySpec):
         """Guarded aggregate for one spec. The estimators need an index
@@ -180,7 +153,7 @@ class DegradationLadder:
         # Linear rung: aggregates run against a freshly built bulk tree
         # (built from the store, which is the ground truth).
         state.queries_since_downgrade += 1
-        self._install_bulk(engine)
+        engine.rebuild("bulk")
         return engine.execute(spec).aggregate
 
     # -- transitions -------------------------------------------------------
@@ -213,9 +186,9 @@ class DegradationLadder:
             error=state.last_error,
         )
         if state.level == 1:
-            # A fresh bulk tree over the same store answers identically;
-            # the broken tree is simply dropped.
-            self._install_bulk(engine)
+            # The broken tree is simply dropped for a fresh bulk tree
+            # over the same store.
+            engine.rebuild("bulk")
 
     def _maybe_rebuild(self, engine, state: _EngineState) -> None:
         if (
@@ -234,14 +207,7 @@ class DegradationLadder:
         only on engines reclaimed from dead workers).
         """
         state = self._state(engine)
-        if getattr(engine, "is_sharded", False):
-            variant = engine.rebuild_native()
-        else:
-            with self._lock:
-                variant = self._specs[id(engine)]
-            fresh = _fresh_tree(variant, engine.index)
-            check_invariants(fresh)
-            engine.swap_index(fresh)
+        variant = engine.rebuild()
         state.level = 0
         state.queries_since_downgrade = 0
         state.last_error = ""
@@ -258,49 +224,9 @@ class DegradationLadder:
         before a reclaimed engine re-enters rotation.
         """
         try:
-            validate_engine(engine)
+            engine.validate()
             return False
         except IndexError_:
             self.rebuild(engine)
             self._increment("engines_repaired")
             return True
-
-    def _install_bulk(self, engine) -> None:
-        """Drop to bulk trees: per-shard for a sharded engine (one fresh
-        bulk tree per shard, swapped on each shard's own lane), one tree
-        otherwise."""
-        if getattr(engine, "is_sharded", False):
-            engine.install_indexes(engine.fresh_indexes("bulk"))
-        else:
-            engine.swap_index(_fresh_tree("bulk", engine.index))
-
-    # -- the last rung -----------------------------------------------------
-
-    @staticmethod
-    def _linear_topk(engine, spec: QuerySpec) -> TopKResult:
-        """Exact top-k by one vectorised scan over the eligible S1 rows
-        (the type's rows minus the excluded ids), ties broken by id."""
-        query_point, exclude, allowed = engine._topk_request(spec)
-        vectors = engine.s1_vectors
-        rows = np.flatnonzero(eligible_mask(len(vectors), exclude, allowed))
-        dists = row_distances(
-            vectors, rows, np.asarray(query_point, dtype=np.float64)
-        )
-        ids, dists = smallest_k(rows, dists, spec.k)
-        return TopKResult(
-            entities=tuple(ids.tolist()),
-            distances=tuple(dists.tolist()),
-            points_examined=len(vectors),
-            final_radius=float(dists[-1]) * (1.0 + engine.epsilon)
-            if len(ids)
-            else float("inf"),
-            query_region=None,
-        )
-
-
-def _fresh_tree(variant: str, index):
-    """A fresh ``variant`` tree over ``index``'s store with its geometry."""
-    return build_index(
-        variant, index.store, leaf_capacity=index.leaf_capacity,
-        fanout=index.fanout, beta=index.beta,
-    )

@@ -12,7 +12,7 @@
 
 Validation defaults to the degradation ladder's ``repair`` when a ladder
 is supplied (structural invariant check, rebuild on violation), else the
-bare :func:`~repro.resilience.degrade.validate_engine`. Counters land in
+engine's own ``validate()``. Counters land in
 :class:`~repro.service.metrics.ServingMetrics`: ``worker_restarts``,
 ``workers_hung``, ``engines_repaired`` (the ladder increments the last).
 """
@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import threading
 from typing import Callable
-
-from repro.resilience.degrade import validate_engine
 
 
 class PoolWatchdog:
@@ -51,7 +49,7 @@ class PoolWatchdog:
         elif ladder is not None:
             self._validate = ladder.repair
         else:
-            self._validate = validate_engine
+            self._validate = lambda engine: engine.validate()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._lock = threading.Lock()

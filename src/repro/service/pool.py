@@ -292,11 +292,10 @@ class EnginePool:
         """Detect dead workers, reclaim their engines, spawn replacements.
 
         ``validate`` (if given) is called with each reclaimed or suspect
-        engine *before* it re-enters rotation — typically
-        :func:`repro.resilience.degrade.validate_engine` or a ladder's
-        ``repair``. A validator that raises keeps the engine out of
-        rotation permanently (better one fewer replica than a corrupt
-        one); with replicas the pool keeps serving.
+        engine *before* it re-enters rotation — typically the engine's
+        ``validate`` or a ladder's ``repair``. A validator that raises
+        keeps the engine out of rotation permanently (better one fewer
+        replica than a corrupt one); with replicas the pool keeps serving.
 
         Returns counts: ``{"restarted": n, "reclaimed": n, "quarantined": n}``.
         """

@@ -40,8 +40,9 @@ open circuit breaker → 503 (with a ``Retry-After`` header).
 
 The fault-tolerance layer is wired here: every query runs through the
 :class:`~repro.resilience.degrade.DegradationLadder` (a broken index
-falls back to a fresh bulk tree, then a linear scan — answers are
-identical, Algorithm 3 is exact in S1), the pool is supervised by a
+falls back to a fresh bulk tree, whose answers are ε-valid Algorithm 3
+answers like the native tree's, then to the exact linear scan), the
+pool is supervised by a
 :class:`~repro.resilience.watchdog.PoolWatchdog`, and a
 :class:`~repro.resilience.breaker.CircuitBreaker` sheds load when the
 backend itself is failing. What trips the breaker is backend trouble

@@ -2,11 +2,10 @@
 
 Partitions the S2 point store into N independent cracking R-trees and
 runs queries scatter-gather across a shard executor: each shard answers
-the query over its id subset, and an exact k-way merge reassembles the
-global answer. Because Algorithm 3 is exact over whatever id subset its
-tree indexes, the merged top-k is element-wise identical to what one
-tree over all points returns — sharding buys parallelism, never
-approximation.
+the query over its id subset, and a k-way merge reassembles the global
+answer. The merged top-k is an ε-valid Algorithm 3 answer (Theorem 2),
+like one tree's; it equals what one tree over all points returns when
+both find the exact top-k.
 """
 
 from repro.shard.engine import ShardedEngine

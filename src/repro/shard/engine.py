@@ -1,11 +1,14 @@
 """``ShardedEngine``: the scatter-gather engine behind ``execute(spec)``.
 
 A :class:`ShardedEngine` subclasses :class:`~repro.query.engine.QueryEngine`
-and swaps two things:
+and overrides only what sharding changes:
 
 - the top-k execution hook scatters the spec to N per-shard engines
   (each owning one cracking tree over its id subset) and k-way merges
-  the exact per-shard answers (:mod:`repro.shard.merge`);
+  the per-shard answers (:mod:`repro.shard.merge`);
+- :meth:`~ShardedEngine.validate` and :meth:`~ShardedEngine.rebuild`
+  run on every shard's live tree, through the same per-shard command
+  path top-k uses (so in the worker processes under fork);
 - the ``index`` attribute is a :class:`ShardRouter` — a duck-typed
   "virtual index" that implements ``probe``/``search``/``refine``/
   ``contour``/``insert``/``delete``/``stats``/``counters`` by routing
@@ -14,10 +17,12 @@ and swaps two things:
   the online updater, WAL replay — works against a sharded engine
   unchanged.
 
-Exactness: Algorithm 3 is exact over whatever id subset its tree
-indexes, so the merged top-k, its distances, the final radius and the
-query region are element-wise identical to single-engine execution;
-only ``points_examined`` (a work counter) sums differently.
+Answer contract: each shard runs Algorithm 3 over its own id subset, so
+the merged top-k is an ε-valid Algorithm 3 answer (Theorem 2), not the
+exact top-k. It equals the single-tree answer element-wise (entities,
+distances, final radius and query region) when both find the exact
+top-k, as they do on the tests' fixtures at ε=1.0; ``points_examined``
+(a work counter) always sums differently.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from repro.index.geometry import row_distances
 from repro.index.stats import AccessCounters, IndexStats
 from repro.index.store import PointStore, ShardStoreView
 from repro.index.validation import check_invariants
-from repro.index.variants import build_index, variant_name
+from repro.index.variants import build_index, fresh_tree, variant_name
 from repro.obs import trace
 from repro.query.engine import QueryEngine
 from repro.query.spec import QuerySpec
@@ -49,13 +54,24 @@ def _geometry_of(index) -> dict:
     return {"leaf_capacity": index.leaf_capacity, "fanout": index.fanout, "beta": index.beta}
 
 
+def _validate_shard(engine, ids: np.ndarray) -> None:
+    """Command: check one shard's live tree against its live id set."""
+    check_invariants(engine.index, expected_ids=ids)
+
+
+def _rebuild_shard(engine, ids: np.ndarray, variant: str) -> None:
+    """Command: install a validated fresh ``variant`` tree over ``ids``."""
+    engine.swap_index(fresh_tree(variant, engine.index, ids=ids))
+
+
 class ShardRouter:
     """The sharded engine's virtual index (duck-typed R-tree surface).
 
     Query/mutation operations run on the owning shard's serialized
     lane; read-only structural reads (stats, contour, counters) run on
     the lanes too under the thread backend, and against the parent-side
-    snapshots under the fork backend (where the lanes only speak top-k).
+    snapshots under the fork backend (where the lanes run only the
+    engine's commands: top-k, validation and rebuilds).
     """
 
     def __init__(self, engine: "ShardedEngine") -> None:
@@ -73,7 +89,7 @@ class ShardRouter:
 
     def _scatter_live(self, fn) -> list:
         """Run on every lane; fork backend refuses (children are the
-        source of truth and only answer top-k)."""
+        source of truth and run only the engine's commands)."""
         return self._executor.scatter(fn)
 
     def _scatter_read(self, fn) -> list:
@@ -203,7 +219,6 @@ class ShardedEngine(QueryEngine):
         self._shard_engines = list(shard_engines)
         self._plan = plan
         self._store = store
-        self._variant = variant_name(shard_engines[0].index)
         self._geometry = _geometry_of(shard_engines[0].index)
         assignment = np.full(store.size, _UNASSIGNED, dtype=np.int64)
         for shard, engine in enumerate(self._shard_engines):
@@ -216,6 +231,7 @@ class ShardedEngine(QueryEngine):
         self._points_by_shard = [0] * len(self._shard_engines)
         self._queries = 0
         super().__init__(graph, model, transform, ShardRouter(self), epsilon=epsilon)
+        self._variant = variant_name(shard_engines[0].index)
 
     # -- construction ------------------------------------------------------
 
@@ -253,10 +269,7 @@ class ShardedEngine(QueryEngine):
 
     def _run_topk_spec(self, spec: QuerySpec) -> TopKResult:
         epsilon = self.epsilon if spec.epsilon is None else spec.epsilon
-        if spec.direction == "tail":
-            query_point = self.model.tail_query_point(spec.entity, spec.relation)
-        else:
-            query_point = self.model.head_query_point(spec.entity, spec.relation)
+        query_point, _, _ = self.resolve(spec)
         q2 = self.transform(np.asarray(query_point, dtype=np.float64))
         with trace.span("shard.scatter") as sp:
             parts = self._executor.scatter_specs(spec)
@@ -325,61 +338,29 @@ class ShardedEngine(QueryEngine):
         )
         return stats
 
-    # -- degradation-ladder hooks ------------------------------------------
+    # -- tree lifecycle ----------------------------------------------------
 
-    def check_shard_invariants(self) -> None:
-        """Validate every shard tree against its live id set."""
-        for shard in range(self.num_shards):
-            expected = self.shard_ids(shard)
+    def validate(self) -> None:
+        """Check every shard's live tree against its live id set."""
+        self._on_every_shard(_validate_shard)
 
-            def validate(engine, expected=expected):
-                check_invariants(engine.index, expected_ids=expected)
+    def rebuild(self, variant: str | None = None) -> str:
+        """Give every shard a validated fresh tree of ``variant`` (the
+        native one by default) over its live ids, built and installed
+        on its own lane; returns the variant's name."""
+        variant = variant or self._variant
+        self._on_every_shard(_rebuild_shard, variant)
+        return variant
 
-            if self._executor.backend == "thread":
-                self._executor.run_on(shard, validate)
-            else:
-                # Fork children are static; the parent snapshots are the
-                # only structures the parent process can ever corrupt.
-                validate(self._shard_engines[shard])
-
-    @property
-    def variant(self) -> str:
-        """The shard trees' native variant (``index`` is the router)."""
-        return self._variant
-
-    def fresh_indexes(self, variant: str | None = None) -> list:
-        """Fresh per-shard trees over the current id sets (built off the
-        lanes: construction reads only the shared store), of ``variant``
-        (e.g. the ladder's ``"bulk"`` fallback) or else the native one."""
-        return [
-            build_index(
-                variant or self._variant, ShardStoreView(self._store),
-                ids=self.shard_ids(shard), **self._geometry,
-            )
+    def _on_every_shard(self, command, *args) -> None:
+        """Run ``command(shard_engine, shard_ids, *args)`` on every shard
+        through the command path; wait for all."""
+        futures = [
+            self._executor.submit_command(shard, command, self.shard_ids(shard), *args)
             for shard in range(self.num_shards)
         ]
-
-    def install_indexes(self, trees: list) -> None:
-        """Swap every shard's tree on its own lane (waits for all)."""
-        if len(trees) != self.num_shards:
-            raise ServiceError("install_indexes needs one tree per shard")
-        futures = []
-        for shard, tree in enumerate(trees):
-            futures.append(
-                self._executor.submit(shard, lambda engine, tree=tree: engine.swap_index(tree))
-            )
         for future in futures:
             future.result()
-
-    def rebuild_native(self) -> str:
-        """Rebuild every shard as a fresh native-variant tree, validate,
-        and install — the sharded analogue of the ladder's rebuild.
-        Returns the native variant's name."""
-        trees = self.fresh_indexes()
-        for shard, tree in enumerate(trees):
-            check_invariants(tree, expected_ids=self.shard_ids(shard))
-        self.install_indexes(trees)
-        return self._variant
 
     def close(self) -> None:
         """Stop the shard lanes (and fork workers). Idempotent."""

@@ -12,8 +12,10 @@ one shard never does. Two backends share the submission surface:
 - ``fork``: one forked worker process per shard, commands over a pipe.
   The blocking ``recv`` releases the GIL, so shards genuinely run in
   parallel on multiple cores. Forked children snapshot the engine at
-  fork time: the fork backend serves *static* top-k traffic only —
-  dynamic updates and aggregate/contour operations raise
+  fork time and own the live trees from then on: the fork backend
+  serves *static* traffic only. Commands — top-k, and the engine's
+  tree validation and rebuilds — run in the children; dynamic updates
+  and aggregate/contour operations raise
   :class:`~repro.errors.ServiceError`.
 
 Every task fires the ``shard.task`` chaos injection point and, with
@@ -69,20 +71,25 @@ class ShardExecutor:
         """Run ``fn(shard_engine)`` on the shard's lane (thread backend).
 
         The fork backend cannot run arbitrary callables in its children
-        (the parent-side engines are stale snapshots), so this raises.
+        (the parent-side engines are stale snapshots), so this raises;
+        :meth:`submit_command` runs on both backends.
         """
         if self.backend != "thread":
             raise ServiceError(
-                "the fork shard backend serves static top-k traffic only; "
-                "use backend='thread' for updates, aggregates and validation"
+                "the fork shard backend serves static traffic only; "
+                "use backend='thread' for updates and aggregates"
             )
         return self._enqueue(shard, fn)
 
-    def submit_spec(self, shard: int, spec) -> Future:
-        """Run one top-k spec on the shard (both backends)."""
+    def submit_command(self, shard: int, command, *args) -> Future:
+        """Run ``command(shard_engine, *args)`` on the shard's live engine
+        under either backend: on the lane thread, or in the shard's
+        worker process under fork. ``command`` must be a module-level
+        function (fork pickles it by name), and its arguments and
+        result must pickle."""
         if self.backend == "thread":
-            return self._enqueue(shard, lambda engine: engine._run_topk_spec(spec))
-        return self._enqueue(shard, ("topk", spec))
+            return self._enqueue(shard, lambda engine: command(engine, *args))
+        return self._enqueue(shard, (command, args))
 
     def scatter(self, fn) -> list:
         """Run ``fn(shard_engine)`` on every shard; gather in shard order."""
@@ -91,7 +98,7 @@ class ShardExecutor:
 
     def scatter_specs(self, spec) -> list:
         """Run one top-k spec on every shard; gather in shard order."""
-        futures = [self.submit_spec(shard, spec) for shard in range(self.num_shards)]
+        futures = [self.submit_command(shard, _topk, spec) for shard in range(self.num_shards)]
         return [future.result() for future in futures]
 
     def run_on(self, shard: int, fn):
@@ -206,20 +213,23 @@ class ShardExecutor:
             conn.close()
 
 
+def _topk(engine, spec):
+    """The top-k command: Algorithm 3 on one shard's tree."""
+    return engine._run_topk_spec(spec)
+
+
 def _shard_child_main(conn, shard_engine) -> None:  # pragma: no cover - child process
-    """Forked shard worker: answer ``("topk", spec)`` commands until EOF."""
+    """Forked shard worker: run ``(command, args)`` messages until EOF."""
     while True:
         try:
-            command = conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             return
-        if command is None:
+        if message is None:
             return
-        kind, spec = command
         try:
-            if kind != "topk":
-                raise ServiceError(f"fork shard worker cannot run {kind!r} commands")
-            result = shard_engine._run_topk_spec(spec)
+            command, args = message
+            result = command(shard_engine, *args)
         except BaseException as exc:  # noqa: E722 - forwarded to the parent
             try:
                 conn.send(("err", exc))

@@ -1,14 +1,14 @@
-"""Exact k-way merge of per-shard top-k results.
+"""k-way merge of per-shard top-k results.
 
-Each shard's :func:`~repro.query.topk.find_topk` is exact over its id
-subset (Algorithm 3 re-ranks every candidate by true S1 distance inside
-a covering region), so the global top-k is exactly the k smallest of
-the union of per-shard candidates. The merged kth distance equals the
-single-tree kth distance, hence the merged ``final_radius``
+The merged top-k is the k smallest of the union of the per-shard
+:func:`~repro.query.topk.find_topk` answers, ties broken by id. Each
+part is an ε-valid Algorithm 3 answer over its shard's ids (Theorem 2),
+and so is the merge; it is not the exact top-k. Where every shard finds
+its exact top-k (the tests' fixtures at ε=1.0), the merged kth
+distance equals the single-tree one, so the merged ``final_radius``
 (``kth * (1 + epsilon)``) and ``query_region`` (``ball_box(q2, r)``)
-reproduce the single-engine values bit-for-bit — which keeps geometric
-cache invalidation correct without any shard awareness. Only
-``points_examined`` differs (it sums over shards).
+reproduce the single-engine values bit-for-bit. ``points_examined``
+sums over shards.
 """
 
 from __future__ import annotations

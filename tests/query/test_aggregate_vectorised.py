@@ -129,7 +129,7 @@ def assert_matches_oracle(engine, spec):
     """Serve ``spec`` (cracking what it needs), then compare the
     estimator with the oracle on the same, now fixed, index state."""
     engine.execute(spec)
-    query_point, exclude, _ = engine._topk_request(spec)
+    query_point, exclude, _ = engine.resolve(spec)
     processor = engine._aggregates
     got = processor.estimate(
         query_point, spec.agg, attribute=spec.attribute, p_tau=spec.p_tau,
@@ -211,7 +211,7 @@ def test_matches_after_online_updates(variant):
         ]
         for spec in specs:
             assert_matches_oracle(engine, spec)
-        query_point, exclude, _ = engine._topk_request(specs[0])
+        query_point, exclude, _ = engine.resolve(specs[0])
         ball, _, _ = engine._aggregates._ball(query_point, 0.1, exclude, refine_index=False)
         assert fresh in ball.tolist()
     finally:

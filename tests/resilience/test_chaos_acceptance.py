@@ -46,7 +46,7 @@ def test_chaos_replay_is_answer_preserving(make_engine, dataset):
             watchdog_interval=0.05,
             cache_capacity=1,
         ) as service:
-            # The bulk/linear rungs are answer-identical to the warmed
+            # On this fixture the bulk/linear rungs answer like the warmed
             # cracking tree, but a *fresh* native tree rebuilt mid-replay
             # may return a different (still epsilon-valid) top-k than the
             # warmed baseline — whether that shows up depends on where the

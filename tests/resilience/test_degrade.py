@@ -1,22 +1,22 @@
-"""Degradation-ladder tests: broken indexes must not change answers.
+"""Degradation-ladder tests: broken indexes must not break answers.
 
-Algorithm 3 is exact in S1 for every index variant, so each rung of the
-ladder — native cracking tree, fresh bulk tree, linear scan — returns
-identical top-k sets. These tests force failures at the index layer and
-check the answers against an untouched baseline engine every time.
+The linear rung is exact; the native and bulk rungs return ε-valid
+Algorithm 3 answers. On this fixture every rung finds the exact top-k,
+so these tests force failures at the index layer and check the answers
+against an untouched baseline engine every time.
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import IndexError_, QueryError
 from repro.index.bulkload import BulkLoadedRTree
 from repro.index.cracking import CrackingRTree
-from repro.index.linear import ExhaustiveScan
+from repro.index.variants import fresh_tree
 from repro.query.spec import QuerySpec
 from repro.resilience.chaos import ChaosController, activate
-from repro.resilience.degrade import DegradationLadder, validate_engine
+from repro.resilience.degrade import DegradationLadder
 from repro.service.metrics import ServingMetrics
+from repro.shard import ShardedEngine
 
 
 def _corrupt(index):
@@ -39,10 +39,10 @@ def probes(dataset):
 
 
 def test_validate_engine_accepts_healthy_and_rejects_corrupt(engine):
-    validate_engine(engine)  # a fresh engine passes
+    engine.validate()  # a fresh engine passes
     _corrupt(engine.index)
     with pytest.raises(IndexError_):
-        validate_engine(engine)
+        engine.validate()
 
 
 def test_injected_index_failure_degrades_to_bulk_with_identical_answers(
@@ -65,7 +65,6 @@ def test_injected_index_failure_degrades_to_bulk_with_identical_answers(
 
     assert ladder.level_of(engine) == 1
     assert isinstance(engine.index, BulkLoadedRTree)
-    assert engine._aggregates.index is engine.index  # both views swapped
     snap = metrics.snapshot()["counters"]
     assert snap["degradations"] == 1
     assert ladder.levels()[0]["mode"] == "bulk"
@@ -182,39 +181,56 @@ def test_repair_rebuilds_a_corrupted_index(make_engine):
 
     _corrupt(engine.index)
     assert ladder.repair(engine) is True
-    validate_engine(engine)  # whole again
+    engine.validate()  # whole again
     assert metrics.snapshot()["counters"]["engines_repaired"] == 1
 
 
-@pytest.mark.parametrize("typed", [False, True])
-def test_linear_rung_equals_exhaustive_scan(engine, dataset, typed):
-    """The last rung is exact: its ids are the exhaustive scan's, ties
-    broken by id, for seeded typed and untyped specs."""
-    graph, world = dataset
-    relations = [graph.relations.id_of(name) for name in ("likes", "dislikes")]
-    scan = ExhaustiveScan(engine.s1_vectors, vectorized=True)
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        entity = int(rng.integers(graph.num_entities))
-        relation = relations[int(rng.integers(len(relations)))]
-        direction = "tail" if rng.random() < 0.5 else "head"
-        k = int(rng.choice([1, 5, 10, 20]))
-        entity_type = str(rng.choice(["movie", "user"])) if typed else None
-        spec = QuerySpec(
-            entity=entity, relation=relation, direction=direction, k=k,
-            entity_type=entity_type,
-        )
-        result = DegradationLadder._linear_topk(engine, spec)
-        if direction == "tail":
-            point = engine.model.tail_query_point(entity, relation)
-            banned = graph.tails(entity, relation) | {entity}
-        else:
-            point = engine.model.head_query_point(entity, relation)
-            banned = graph.heads(entity, relation) | {entity}
-        if entity_type is not None:
-            banned |= frozenset(range(graph.num_entities)) - graph.entities_of_type(
-                entity_type
-            )
-        want = scan.topk(point, k, banned)
-        assert result.entities == tuple(e for e, _ in want)
-        assert result.distances == pytest.approx([d for _, d in want], rel=1e-12)
+def test_aggregates_read_the_swapped_tree(make_engine, probes):
+    """After ``swap_index`` an aggregate estimates its unaccessed
+    probabilities from the new tree's contour, and answers like an
+    engine built on that variant."""
+    likes, users = probes
+    engine = make_engine()
+    tree = fresh_tree("bulk", engine.index)
+    engine.swap_index(tree)
+    contours = []
+    contour = tree.contour
+    tree.contour = lambda: contours.append(1) or contour()
+    spec = QuerySpec(
+        entity=users[0], relation=likes, mode="aggregate", agg="count",
+        p_tau=0.05, access_fraction=0.5,
+    )
+    got = engine.execute(spec).aggregate
+    assert contours
+    assert got.value == make_engine("bulk").execute(spec).aggregate.value
+
+
+@pytest.fixture(params=["single", "thread", "fork"])
+def ladder_engine(request, make_engine):
+    """One engine of each kind the ladder serves: a single tree, and two
+    shards on each executor backend."""
+    engine = make_engine()
+    if request.param == "single":
+        yield engine
+        return
+    sharded = ShardedEngine.from_engine(engine, shards=2, backend=request.param)
+    yield sharded
+    sharded.close()
+
+
+def test_ladder_cycle_answers_every_query(ladder_engine, probes):
+    """native → bulk → linear → rebuild → native with every query
+    answered: the rungs act on the trees that actually serve (the worker
+    processes' own trees under the fork backend)."""
+    likes, users = probes
+    ladder = DegradationLadder(rebuild_after=3)
+    controller = ChaosController(seed=0)
+    controller.on("engine.topk", exc=IndexError_, max_fires=2)
+    levels = []
+    with activate(controller):
+        for user in users[:8]:
+            result, _ = ladder.run_topk(ladder_engine, _top5(user, likes))
+            assert len(result) == 5
+            levels.append(ladder.level_of(ladder_engine))
+    assert levels == [1, 2, 2, 2, 0, 0, 0, 0]
+    ladder_engine.validate()

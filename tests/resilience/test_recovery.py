@@ -221,7 +221,7 @@ def test_recover_with_shards_routes_replay_through_the_router(
         # The WAL's add_entity landed in a shard tree, not outside them.
         new = sharded.graph.entities.id_of("user:new")
         assert sharded._shard_of(new) in range(3)
-        sharded.check_shard_invariants()
+        sharded.validate()
         # epsilon=1.0 puts both engines on the exhaustive answer.
         for probe in probes:
             spec = QuerySpec(entity=probe, relation=likes, k=5, epsilon=1.0)

@@ -90,8 +90,8 @@ class TestShardTrees:
         sharded = make_sharded(shards=4, scheme=scheme)
         for shard, engine in enumerate(sharded._shard_engines):
             check_invariants(engine.index, expected_ids=sharded.shard_ids(shard))
-        # The engine-level hook runs the same checks through the lanes.
-        sharded.check_shard_invariants()
+        # The engine's validate() runs the same checks through the lanes.
+        sharded.validate()
 
     def test_shard_ids_partition_the_store(self, make_sharded):
         sharded = make_sharded(shards=4)

@@ -1,11 +1,9 @@
 """Dynamic updates against a sharded engine: routing, rebuilds, growth."""
 
 import numpy as np
-import pytest
 
 from repro.dynamic.updater import OnlineUpdater
 from repro.embedding.pretrained import PretrainedEmbedding
-from repro.errors import ServiceError
 from repro.index.bulkload import BulkLoadedRTree
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.spec import QuerySpec
@@ -37,36 +35,31 @@ def test_delete_and_reinsert_roundtrip(dataset, make_engine, make_sharded):
     sharded.index.insert(victim)
     assert sharded._shard_of(victim) == home  # routing is deterministic
     assert sharded.execute(spec).topk.entities == want.entities
-    sharded.check_shard_invariants()
+    sharded.validate()
 
 
 def test_rebuild_native_preserves_answers(dataset, make_sharded):
     spec = _probe_spec(dataset)
     sharded = make_sharded(shards=4)
     want = sharded.execute(spec).topk
-    sharded.rebuild_native()
+    assert sharded.rebuild() == "cracking"
     got = sharded.execute(spec).topk
     assert got.entities == want.entities
     assert got.distances == want.distances
 
 
-def test_fresh_indexes_support_the_bulk_fallback(dataset, make_sharded):
+def test_rebuild_supports_the_bulk_fallback(dataset, make_sharded):
     """The degradation ladder's bulk rung swaps every shard's tree for a
-    bulk-loaded one; answers must survive the swap."""
+    bulk-loaded one; answers must survive the swap, and the engine keeps
+    its native variant."""
     spec = _probe_spec(dataset)
     sharded = make_sharded(shards=4)
     want = sharded.execute(spec).topk
-    trees = sharded.fresh_indexes("bulk")
-    assert len(trees) == sharded.num_shards
-    sharded.install_indexes(trees)
+    assert sharded.rebuild("bulk") == "bulk"
     assert all(isinstance(e.index, BulkLoadedRTree) for e in sharded._shard_engines)
+    assert sharded.variant == "cracking"
     assert sharded.execute(spec).topk.entities == want.entities
-
-
-def test_install_indexes_needs_one_tree_per_shard(make_sharded):
-    sharded = make_sharded(shards=3)
-    with pytest.raises(ServiceError):
-        sharded.install_indexes(sharded.fresh_indexes()[:2])
+    sharded.validate()
 
 
 def _private_world():
@@ -97,7 +90,7 @@ def test_vector_update_reindexes_through_the_router():
         assert np.allclose(model.entity_vectors()[entity], vector)
         # The re-index routed through the owning shard's lane.
         assert sharded._shard_of(entity) == home
-        sharded.check_shard_invariants()
+        sharded.validate()
     finally:
         sharded.close()
 
@@ -118,6 +111,6 @@ def test_added_entity_routes_to_its_shard():
         home = sharded._shard_of(entity)
         assert home in range(sharded.num_shards)
         assert entity in sharded.shard_ids(home)
-        sharded.check_shard_invariants()
+        sharded.validate()
     finally:
         sharded.close()

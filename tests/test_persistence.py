@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from repro.embedding.pretrained import PretrainedEmbedding
-from repro.errors import ReproError
+from repro.errors import IndexError_, ReproError
+from repro.index.bulkload import BulkLoadedRTree
+from repro.index.cracking import CrackingRTree
 from repro.index.topk_splits import TopKSplitsRTree
 from repro.kg.generators import movielens_like
 from repro.persistence import load_engine, save_engine
 from repro.query.engine import EngineConfig, QueryEngine
 from repro.query.spec import QuerySpec
+from repro.resilience.chaos import ChaosController, activate
+from repro.resilience.degrade import DegradationLadder
 from repro.shard import ShardedEngine
 
 
@@ -200,3 +204,21 @@ def test_sharded_engine_saves_its_shard_trees_variant(tmp_path, engine):
     restored = load_engine(tmp_path / "artifact")
     assert isinstance(restored.index, TopKSplitsRTree)
     assert restored.index.num_choices == 2
+
+
+def test_degraded_engine_saves_its_native_variant(tmp_path, engine):
+    """A checkpoint taken while the ladder serves from a bulk tree must
+    not turn the artifact's cracking index into a bulk one for good."""
+    degraded = QueryEngine.from_graph(
+        engine.graph, EngineConfig(index="cracking", epsilon=0.5, alpha=3), model=engine.model
+    )
+    ladder = DegradationLadder()
+    controller = ChaosController(seed=0)
+    controller.on("engine.topk", exc=IndexError_, max_fires=1)
+    likes = engine.graph.relations.id_of("likes")
+    with activate(controller):
+        ladder.run_topk(degraded, QuerySpec(entity=0, relation=likes, k=5))
+    assert isinstance(degraded.index, BulkLoadedRTree)
+    save_engine(degraded, tmp_path / "artifact")
+    restored = load_engine(tmp_path / "artifact")
+    assert isinstance(restored.index, CrackingRTree)
